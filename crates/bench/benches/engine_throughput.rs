@@ -6,36 +6,28 @@
 //!   mix (printed before measuring) — the operational backdrop of the
 //!   paper's "SI trades anomalies for performance" premise;
 //! * deterministic scheduler throughput for each engine (criterion
-//!   groups), including the lock-striped `SI-sharded` engine and the
-//!   CAS-based `SI-lockfree` engine, whose single-threaded overhead
-//!   versus plain SI is the price of their synchronisation;
+//!   groups);
 //! * the concurrent scaling grid: the real-thread stress harness runs
-//!   the single-lock baseline, the sharded engine and the lock-free
-//!   engine on identical workloads across thread counts × contention
-//!   levels, at a 4k-transaction cell (best of 3) and a 10^6-transaction
-//!   cell (single repetition — long enough that allocation, GC cadence
-//!   and arena recycling reach steady state).
+//!   the single-lock SI store across thread counts × contention levels,
+//!   at a 4k-transaction cell and a 10^6-transaction cell.
 //!
 //! A measured run (release build, or `--measure`) rewrites
 //! `BENCH_engine.json` at the repository root with the scaling grid:
-//! committed-transaction throughput for all three back-ends, their
-//! speedups over the single-lock baseline, and the winning store's GC
-//! counters; see EXPERIMENTS.md. The timed window is each back-end's
-//! concurrent phase, measured through `stress_history_only` for all
-//! three back-ends — pure engine time, with recording reduced to
-//! per-thread commit buffers and no dense-relation construction, so the
-//! grid compares synchronisation strategies rather than recorder
-//! overheads. Correctness of what the timed engines produce is
-//! established elsewhere: the differential suites
-//! (`tests/sharded_differential.rs`, `tests/lockfree_differential.rs`),
-//! the sanitizer's exhaustive exploration, and the release-gated
-//! `si-solve` membership smokes on 10^5-transaction recordings.
+//! per cell, the min, median and max of committed-transaction
+//! throughput over the repetitions, plus the host's core count and the
+//! build profile; see EXPERIMENTS.md. The timed window is the concurrent
+//! phase of `stress_history_only`, so building the history stays out of
+//! it. Correctness of what the timed store produces is established
+//! elsewhere: the concurrent proptest in `tests/engines_vs_theory.rs`,
+//! the sanitizer's exhaustive exploration of the shared commit routine,
+//! and the release-gated `si-solve` membership smoke on a
+//! 10^5-transaction recording.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use serde::Serialize;
 use si_mvcc::{
-    stress_history_only, Engine, GcStats, LockFreeSiEngine, PsiEngine, Scheduler, SchedulerConfig,
-    SerEngine, ShardedSiEngine, SiEngine, SsiEngine, StressConfig, StressEngine,
+    stress_history_only, Engine, PsiEngine, Scheduler, SchedulerConfig, SerEngine, SiEngine,
+    SsiEngine, StressConfig, StressEngine,
 };
 use si_workloads::random::{random_mix, RandomMix};
 
@@ -80,8 +72,6 @@ fn print_abort_table() {
     println!("{:10} {:>9} {:>9} {:>12}", "engine", "commits", "aborts", "ops executed");
     for (name, stats) in [
         ("SI", run_once(|| Box::new(SiEngine::new(16)), 16, 0.0)),
-        ("SI-sharded", run_once(|| Box::new(ShardedSiEngine::new(16)), 16, 0.0)),
-        ("SI-lockfree", run_once(|| Box::new(LockFreeSiEngine::new(16)), 16, 0.0)),
         ("SSI", run_once(|| Box::new(SsiEngine::new(16)), 16, 0.0)),
         ("SER", run_once(|| Box::new(SerEngine::new(16)), 16, 0.0)),
         ("PSI", run_once(|| Box::new(PsiEngine::new(16, 3)), 16, 0.3)),
@@ -107,18 +97,6 @@ fn bench_scheduler(c: &mut Criterion) {
             b.iter(|| {
                 let mut s = Scheduler::new(SchedulerConfig { seed: 7, ..Default::default() });
                 s.run(&mut SiEngine::new(objects), w).stats.committed
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("si-sharded", objects), &w, |b, w| {
-            b.iter(|| {
-                let mut s = Scheduler::new(SchedulerConfig { seed: 7, ..Default::default() });
-                s.run(&mut ShardedSiEngine::new(objects), w).stats.committed
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("si-lockfree", objects), &w, |b, w| {
-            b.iter(|| {
-                let mut s = Scheduler::new(SchedulerConfig { seed: 7, ..Default::default() });
-                s.run(&mut LockFreeSiEngine::new(objects), w).stats.committed
             })
         });
         group.bench_with_input(BenchmarkId::new("ssi", objects), &w, |b, w| {
@@ -160,27 +138,25 @@ fn grid_config(contention: &str, threads: usize, total_txs: usize, seed: u64) ->
     }
 }
 
-/// Best-of-`reps` committed-transactions-per-second for one cell.
-fn best_tps(config: &StressConfig, engine: StressEngine, reps: usize) -> (f64, GcStats) {
-    let mut best = 0.0f64;
-    let mut gc = GcStats::default();
-    for rep in 0..reps.max(1) {
-        let mut c = *config;
-        c.seed ^= (rep as u64) << 32;
-        let out = stress_history_only(&c, engine);
-        if out.throughput_tps > best {
-            best = out.throughput_tps;
-            gc = out.gc;
-        }
-    }
-    (best, gc)
+/// Committed-transactions-per-second of `reps` repetitions of one cell,
+/// sorted ascending; each repetition reseeds the workload.
+fn cell_tps(config: &StressConfig, reps: usize) -> Vec<f64> {
+    let mut tps: Vec<f64> = (0..reps)
+        .map(|rep| {
+            let mut c = *config;
+            c.seed ^= (rep as u64) << 32;
+            stress_history_only(&c, StressEngine::SingleLock).throughput_tps
+        })
+        .collect();
+    tps.sort_by(f64::total_cmp);
+    tps
 }
 
 fn bench_scaling(c: &mut Criterion) {
-    // Criterion coverage of the stress harness itself: one small cell per
-    // back-end, so regressions in the concurrent path show up in the
-    // ordinary criterion report too. The full grid runs once afterwards
-    // and is written to BENCH_engine.json.
+    // Criterion coverage of the stress harness itself: one small cell, so
+    // regressions in the concurrent path show up in the ordinary
+    // criterion report too. The full grid runs once afterwards and is
+    // written to BENCH_engine.json.
     let threads = if smoke_mode() { 2 } else { 4 };
     let total = if smoke_mode() { 100 } else { 1000 };
     let config = grid_config("low", threads, total, 0xC0FFEE);
@@ -189,20 +165,6 @@ fn bench_scaling(c: &mut Criterion) {
     group.throughput(Throughput::Elements(total as u64));
     group.bench_function(BenchmarkId::new("single-lock", threads), |b| {
         b.iter(|| stress_history_only(&config, StressEngine::SingleLock).stats.committed)
-    });
-    group.bench_function(BenchmarkId::new("sharded", threads), |b| {
-        b.iter(|| {
-            stress_history_only(&config, StressEngine::Sharded { shards: 8, gc_interval: 128 })
-                .stats
-                .committed
-        })
-    });
-    group.bench_function(BenchmarkId::new("lockfree", threads), |b| {
-        b.iter(|| {
-            stress_history_only(&config, StressEngine::LockFree { gc_interval: 128 })
-                .stats
-                .committed
-        })
     });
     group.finish();
 
@@ -216,79 +178,56 @@ struct ScalingRow {
     contention: &'static str,
     threads: usize,
     total_txs: usize,
-    single_lock_tps: f64,
-    sharded_tps: f64,
-    lock_free_tps: f64,
-    speedup: f64,
-    lockfree_speedup: f64,
-    lockfree_over_sharded: f64,
-    gc_passes: u64,
-    gc_pruned: u64,
+    reps: usize,
+    tps_min: f64,
+    tps_median: f64,
+    tps_max: f64,
 }
 
 #[derive(Serialize)]
 struct EngineBench {
     bench: &'static str,
     engine: &'static str,
-    baseline: &'static str,
-    shards: usize,
-    gc_interval: u64,
+    available_parallelism: usize,
+    profile: &'static str,
     note: &'static str,
     results: Vec<ScalingRow>,
 }
 
 fn record_json() {
     let mut results = Vec::new();
-    // Two cell sizes: the quick 4k-tx grid (best of 3) and a
-    // 10^6-transaction soak (one repetition — the run itself is long
-    // enough to average out scheduling noise, and it is where GC
-    // cadence, epoch fences and arena recycling reach steady state).
-    for (total_txs, reps) in [(GRID_TOTAL_TXS, 3usize), (1_000_000, 1)] {
+    for (total_txs, reps) in [(GRID_TOTAL_TXS, 9usize), (1_000_000, 3)] {
         for contention in ["low", "high"] {
             for threads in [1usize, 2, 4, 8] {
                 let config = grid_config(contention, threads, total_txs, 0x51AB);
-                let (single_lock_tps, _) = best_tps(&config, StressEngine::SingleLock, reps);
-                let (sharded_tps, _) =
-                    best_tps(&config, StressEngine::Sharded { shards: 8, gc_interval: 128 }, reps);
-                let (lock_free_tps, gc) =
-                    best_tps(&config, StressEngine::LockFree { gc_interval: 128 }, reps);
-                results.push(ScalingRow {
+                let tps = cell_tps(&config, reps);
+                let row = ScalingRow {
                     contention,
                     threads,
                     total_txs,
-                    single_lock_tps,
-                    sharded_tps,
-                    lock_free_tps,
-                    speedup: sharded_tps / single_lock_tps,
-                    lockfree_speedup: lock_free_tps / single_lock_tps,
-                    lockfree_over_sharded: lock_free_tps / sharded_tps,
-                    gc_passes: gc.passes,
-                    gc_pruned: gc.pruned,
-                });
+                    reps,
+                    tps_min: tps[0],
+                    tps_median: tps[reps / 2],
+                    tps_max: tps[reps - 1],
+                };
                 println!(
                     "stress grid: {total_txs}tx {contention}/{threads}t  \
-                     single-lock {single_lock_tps:>9.0} tps  \
-                     sharded {sharded_tps:>9.0} tps  \
-                     lock-free {lock_free_tps:>9.0} tps  \
-                     (lf/sharded {:.2}x)",
-                    lock_free_tps / sharded_tps
+                     median {:>9.0} tps  (min {:>9.0}, max {:>9.0}, {reps} reps)",
+                    row.tps_median, row.tps_min, row.tps_max
                 );
+                results.push(row);
             }
         }
     }
     let report = EngineBench {
         bench: "engine_scaling",
-        engine: "SI-lockfree (atomic version chains, completion ring, epoch reclamation) \
-                 vs SI-sharded (lock-striped store, epoch GC)",
-        baseline: "single global RwLock store (same history-only recording as the others)",
-        shards: 8,
-        gc_interval: 128,
-        note: "committed transactions per second over the concurrent phase; \
-               4k-tx cells are best of 3 repetitions, 10^6-tx cells run once; \
-               fixed total commit budget split across threads; all three \
-               back-ends are timed through stress_history_only (pure engine \
-               time, correctness covered by the differential and si-solve \
-               suites); gc counters are the lock-free store's",
+        engine: "single global RwLock SI store (StressEngine::SingleLock)",
+        available_parallelism: std::thread::available_parallelism().map_or(0, |n| n.get()),
+        profile: if cfg!(debug_assertions) { "debug" } else { "release" },
+        note: "committed transactions per second over the concurrent phase of \
+               stress_history_only; min, median and max over an odd number \
+               of reps, each reseeded; fixed total commit budget split \
+               across threads",
         results,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine.json");
@@ -305,8 +244,8 @@ fn record_json() {
 }
 
 fn configured() -> Criterion {
-    // 1-vCPU container: skip plot generation and keep windows short so the
-    // whole suite reruns in minutes; pass your own --warm-up-time /
+    // Skip plot generation and keep windows short so the whole suite
+    // reruns in minutes; pass your own --warm-up-time /
     // --measurement-time to override.
     Criterion::default()
         .without_plots()

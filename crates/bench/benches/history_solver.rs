@@ -9,8 +9,8 @@
 //!   `10^2 → 10^5` transaction grid;
 //! * the same runs with a seeded long-fork cluster — outside `HistSI`,
 //!   so the checkers must refute;
-//! * histories recorded straight from [`ShardedSiEngine`] stress runs
-//!   (lock-striped MVCC, real threads), checked post-hoc.
+//! * histories recorded straight from single-lock stress runs (the SI
+//!   store driven by real threads), checked post-hoc.
 //!
 //! The enumerator is raced head-to-head only on sizes it completes
 //! (about 10–20 transactions on this workload — `WW` permutation
@@ -23,8 +23,6 @@
 //! days to exhaust. A measured run (release build, or `--measure`)
 //! rewrites `BENCH_check.json` at the repository root with the full
 //! grid; see EXPERIMENTS.md.
-//!
-//! [`ShardedSiEngine`]: si_mvcc::ShardedStore
 
 use std::time::Instant;
 
@@ -33,7 +31,7 @@ use serde::Serialize;
 use si_core::{history_membership, SearchBudget};
 use si_execution::SpecModel;
 use si_model::History;
-use si_mvcc::{stress, StressConfig, StressEngine};
+use si_mvcc::{stress_history_only, StressConfig, StressEngine};
 use si_solve::{solve_traced, SolveBudget, SolverMode, SolverStats};
 use si_telemetry::Telemetry;
 use si_workloads::histgen::{generate, Anomaly, HistGen};
@@ -71,11 +69,10 @@ fn grid_config(n: usize, inject: Option<Anomaly>) -> HistGen {
     }
 }
 
-/// One committed-transaction history off the sharded MVCC engine.
+/// One committed-transaction history off the single-lock stress store.
 fn stress_history(txs_per_thread: usize, seed: u64) -> History {
     let config = StressConfig::low_contention(4, txs_per_thread, seed);
-    let outcome = stress(&config, StressEngine::Sharded { shards: 8, gc_interval: 512 });
-    outcome.result.history
+    stress_history_only(&config, StressEngine::SingleLock).history
 }
 
 fn bench(c: &mut Criterion) {
@@ -216,14 +213,14 @@ fn record_json() {
     }
     for txs_per_thread in [500, 5_000] {
         let h = stress_history(txs_per_thread, 0x5EED ^ txs_per_thread as u64);
-        push_both(&mut results, "sharded-stress", "clean", &h);
+        push_both(&mut results, "single-lock-stress", "clean", &h);
     }
     let report = CheckBench {
         bench: "history_solver",
         model: "SI",
         note: "one-shot wall-clock membership checks; histgen rows use the \
                10^2..10^5 grid workload (zipf 0.5, 5% blind writes), \
-               sharded-stress rows replay ShardedStore stress recordings; \
+               single-lock-stress rows replay single-lock stress recordings; \
                enumerator rows run under per-size node budgets (see \
                budget_nodes) because its per-node cost grows with history \
                size — exhausting the default 5M-node budget at 10^5 txs \

@@ -1,43 +1,27 @@
-//! Concurrent stress harness: many OS threads hammering one SI protocol
-//! instance, with a measured single-lock baseline and a sharded fast
-//! path.
+//! Concurrent stress harness: many OS threads hammering one SI store.
 //!
 //! The deterministic [`Scheduler`](crate::Scheduler) is the primary
 //! validation tool; this module complements it with *real-concurrency*
 //! runs — threads interleave nondeterministically and the run is
 //! validated after the fact exactly like a scheduled run (the paper's
 //! soundness theorems are what license checking post hoc instead of
-//! serialising the engine). Two protocol back-ends share one workload
-//! driver:
+//! serialising the engine).
 //!
-//! * [`StressEngine::SingleLock`] — the retained baseline: the whole
-//!   [`MultiVersionStore`] behind one [`RwLock`] (reads shared, commit
-//!   exclusive), the commit counter as an acquire/release [`AtomicU64`],
-//!   and every commit record appended under one recorder `Mutex` inside
-//!   the commit hot path. This is deliberately yesterday's code path,
-//!   kept so speedups are *measured against it*, not asserted.
-//! * [`StressEngine::Sharded`] — the lock-striped
-//!   [`ShardedStore`]: per-shard `RwLock`s, ascending-order multi-shard
-//!   commit locking, watermark publication and epoch GC (see
-//!   [`crate::shard`]). Commit records go to *thread-local* buffers and
-//!   are merged into one [`Recorder`] after the threads join — the
-//!   recorder mutex leaves the commit hot path entirely, and each
-//!   record's snapshot is a constant-size [`VisibleSet::Prefix`], not an
-//!   enumerated visible set (a 10^5-commit run would otherwise
-//!   materialise `Θ(n²)` sequence numbers). Per-session commit-seq
-//!   monotonicity is still enforced: the merge replays each thread's
-//!   buffer in order through [`Recorder::record`], which panics on any
-//!   regression.
-//! * [`StressEngine::LockFree`] — the [`LockFreeStore`]: CAS-installed
-//!   atomic version chains (readers take no lock at all),
-//!   completion-ring watermark publication and epoch-deferred node
-//!   reclamation (see [`crate::lockfree`]). Shares the thread-local
-//!   commit-buffer path with the sharded back-end.
+//! The store is the whole [`MultiVersionStore`] behind one [`RwLock`]:
+//! reads take it shared, commits take it exclusive and run the same
+//! first-committer-wins routine as [`SiEngine`](crate::SiEngine)
+//! ([`MultiVersionStore::commit_writes`]). Snapshots are a lock-free
+//! acquire load of a commit counter that each commit publishes with
+//! release ordering after its installs, and every commit record is
+//! appended to one recorder `Mutex` inside the commit path. Each
+//! record's snapshot is a constant-size [`VisibleSet::Prefix`], so a
+//! 10^5-commit run does not materialise `Θ(n²)` sequence numbers.
 //!
 //! [`stress`] runs a configurable workload (threads × contention ×
-//! read/write mix) against either back-end and reports the validated
-//! [`RunResult`] plus wall-clock throughput of the execution phase, so
-//! the `engine_throughput` bench can emit honest scaling curves.
+//! read/write mix) and reports the validated [`RunResult`] plus
+//! wall-clock throughput of the execution phase;
+//! [`stress_history_only`] records the history alone for runs too large
+//! for ground-truth relations.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,10 +32,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use si_model::{History, Obj, Op, Value};
 
-use crate::lockfree::{LockFreeStore, LockFreeStoreConfig};
 use crate::probe::{EngineProbe, ProbeEvent};
 use crate::recorder::{CommittedTx, Recorder, RunResult, RunStats, VisibleSet};
-use crate::shard::{GcStats, ShardedStore, ShardedStoreConfig};
 use crate::store::MultiVersionStore;
 
 /// Workload shape for [`stress`]: how many threads, how much work, how
@@ -114,26 +96,14 @@ impl StressConfig {
     }
 }
 
-/// Which protocol back-end [`stress`] drives.
+/// Which store [`stress`] drives. There is one: the single-lock store.
+/// The type stays an enum so that callers naming
+/// `StressEngine::SingleLock` (the benchmark among them) keep compiling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StressEngine {
     /// One global `RwLock<MultiVersionStore>` plus a recorder mutex on
-    /// the commit path: the measured baseline.
+    /// the commit path.
     SingleLock,
-    /// The lock-striped [`ShardedStore`] with thread-local commit
-    /// buffers.
-    Sharded {
-        /// Lock stripes.
-        shards: usize,
-        /// Installs per shard between GC passes (0 disables GC).
-        gc_interval: u64,
-    },
-    /// The [`LockFreeStore`] with thread-local commit buffers: no locks
-    /// on reads, CAS commits, epoch-deferred reclamation.
-    LockFree {
-        /// Installs between GC passes (0 disables GC).
-        gc_interval: u64,
-    },
 }
 
 /// A finished stress run: the validated result plus the measured
@@ -144,16 +114,13 @@ pub struct StressOutcome {
     /// built *after* the timed window.
     pub result: RunResult,
     /// Wall-clock duration of the execution phase (thread spawn to
-    /// join); excludes post-run merging and validation.
+    /// join); excludes building and validating the result.
     pub elapsed: Duration,
     /// Committed transactions per second of the execution phase.
     pub throughput_tps: f64,
-    /// Garbage-collection counters (zero for the single-lock baseline,
-    /// which never prunes).
-    pub gc: GcStats,
 }
 
-/// The lock-partitioned shared state of the single-lock baseline.
+/// The shared state of the single-lock store.
 #[derive(Debug)]
 struct SharedSi {
     store: RwLock<MultiVersionStore>,
@@ -173,15 +140,6 @@ struct InFlight {
     writes: BTreeMap<Obj, Value>,
 }
 
-/// The protocol surface the workload driver needs; implemented by both
-/// back-ends so one `worker` exercises either.
-trait StressProtocol: Sync {
-    fn begin(&self, session: usize) -> InFlight;
-    fn read(&self, tx: &InFlight, obj: Obj) -> Value;
-    fn commit(&self, tx: InFlight) -> Result<u64, Obj>;
-    fn abort(&self, tx: InFlight);
-}
-
 impl SharedSi {
     fn new(object_count: usize, probe: EngineProbe) -> Self {
         SharedSi {
@@ -190,9 +148,7 @@ impl SharedSi {
             probe,
         }
     }
-}
 
-impl StressProtocol for SharedSi {
     /// Takes a snapshot: a single atomic load, no lock.
     fn begin(&self, session: usize) -> InFlight {
         let snapshot = self.commit_counter.load(Ordering::Acquire);
@@ -218,12 +174,6 @@ impl StressProtocol for SharedSi {
     fn commit(&self, tx: InFlight) -> Result<u64, Obj> {
         let session = tx.session;
         let mut store = self.store.write();
-        for &obj in tx.writes.keys() {
-            if store.latest_seq(obj) > tx.snapshot {
-                self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
-                return Err(obj);
-            }
-        }
         // The unsynchronised-looking `load + 1 … store` is sound, and
         // deliberately NOT a `fetch_add`:
         //
@@ -235,13 +185,10 @@ impl StressProtocol for SharedSi {
         //   happens-after the previous holder's release.
         // * `fetch_add` up front would be a real bug, not a cleanup: it
         //   publishes the new sequence number *before* the versions are
-        //   installed, so the lock-free `begin` below could take a
+        //   installed, so the lock-free `begin` above could take a
         //   snapshot that includes `seq` yet miss its writes entirely.
         let seq = self.commit_counter.load(Ordering::Relaxed) + 1;
-        for (&obj, &value) in &tx.writes {
-            store.install(obj, value, seq);
-            self.probe.emit(|| ProbeEvent::VersionInstalled { session, obj, seq });
-        }
+        store.commit_writes(session, tx.snapshot, &tx.writes, seq, &self.probe)?;
         // Publish only after every install, still under the write lock:
         // a lock-free `begin` that observes `seq` must find all of its
         // versions in place.
@@ -258,150 +205,6 @@ impl StressProtocol for SharedSi {
     }
 }
 
-/// The sharded back-end: protocol state is the [`ShardedStore`] itself;
-/// commit locking, publication and GC all live in [`crate::shard`].
-#[derive(Debug)]
-struct ShardedSi {
-    store: ShardedStore,
-    probe: EngineProbe,
-}
-
-impl StressProtocol for ShardedSi {
-    fn begin(&self, session: usize) -> InFlight {
-        let snapshot = self.store.begin_snapshot(session);
-        self.probe.emit(|| ProbeEvent::SnapshotPrefix { session, upto: snapshot });
-        InFlight { session, snapshot, writes: BTreeMap::new() }
-    }
-
-    fn read(&self, tx: &InFlight, obj: Obj) -> Value {
-        if let Some(&v) = tx.writes.get(&obj) {
-            return v;
-        }
-        let version = self.store.read_at(obj, tx.snapshot);
-        let session = tx.session;
-        self.probe.emit(|| ProbeEvent::VersionObserved { session, obj, seq: version.commit_seq });
-        version.value
-    }
-
-    fn commit(&self, tx: InFlight) -> Result<u64, Obj> {
-        let session = tx.session;
-        match self.store.commit(session, tx.snapshot, &tx.writes, &self.probe) {
-            Ok(seq) => {
-                self.probe.emit(|| ProbeEvent::Committed { session, seq });
-                Ok(seq)
-            }
-            Err(obj) => {
-                self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
-                Err(obj)
-            }
-        }
-    }
-
-    fn abort(&self, tx: InFlight) {
-        self.store.end_snapshot(tx.session);
-        let session = tx.session;
-        self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
-    }
-}
-
-/// The lock-free back-end: protocol state is the [`LockFreeStore`];
-/// chain CAS, ring publication and epoch reclamation all live in
-/// [`crate::lockfree`].
-#[derive(Debug)]
-struct LockFreeSi {
-    store: LockFreeStore,
-    probe: EngineProbe,
-}
-
-impl StressProtocol for LockFreeSi {
-    fn begin(&self, session: usize) -> InFlight {
-        let snapshot = self.store.begin_snapshot(session);
-        self.probe.emit(|| ProbeEvent::SnapshotPrefix { session, upto: snapshot });
-        InFlight { session, snapshot, writes: BTreeMap::new() }
-    }
-
-    fn read(&self, tx: &InFlight, obj: Obj) -> Value {
-        if let Some(&v) = tx.writes.get(&obj) {
-            return v;
-        }
-        let version = self.store.read_at(obj, tx.snapshot);
-        let session = tx.session;
-        self.probe.emit(|| ProbeEvent::VersionObserved { session, obj, seq: version.commit_seq });
-        version.value
-    }
-
-    fn commit(&self, tx: InFlight) -> Result<u64, Obj> {
-        let session = tx.session;
-        match self.store.commit(session, tx.snapshot, &tx.writes, &self.probe) {
-            Ok(seq) => {
-                self.probe.emit(|| ProbeEvent::Committed { session, seq });
-                Ok(seq)
-            }
-            Err(obj) => {
-                self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
-                Err(obj)
-            }
-        }
-    }
-
-    fn abort(&self, tx: InFlight) {
-        self.store.end_snapshot(tx.session);
-        let session = tx.session;
-        self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
-    }
-}
-
-/// Where a worker sends its commit records: the baseline locks the
-/// global recorder *inside* the hot path — yesterday's cost model; the
-/// sharded and lock-free paths buffer locally.
-trait CommitLog {
-    fn on_commit(&mut self, session: usize, ops: Vec<Op>, seq: u64, snapshot: u64);
-    fn on_abort(&mut self);
-}
-
-struct GlobalLog<'a> {
-    recorder: &'a Mutex<Recorder>,
-}
-
-impl CommitLog for GlobalLog<'_> {
-    fn on_commit(&mut self, session: usize, ops: Vec<Op>, seq: u64, snapshot: u64) {
-        let mut rec = self.recorder.lock();
-        rec.stats.committed += 1;
-        rec.stats.ops_executed += ops.len() as u64;
-        rec.record(CommittedTx { session, ops, seq, visible: VisibleSet::Prefix(snapshot) });
-    }
-
-    fn on_abort(&mut self) {
-        self.recorder.lock().stats.aborted += 1;
-    }
-}
-
-/// One buffered commit; the snapshot stays a plain watermark — the
-/// recorder receives it as a [`VisibleSet::Prefix`] at merge time.
-struct LocalCommit {
-    ops: Vec<Op>,
-    seq: u64,
-    snapshot: u64,
-}
-
-#[derive(Default)]
-struct LocalLog {
-    commits: Vec<LocalCommit>,
-    aborted: u64,
-    ops_executed: u64,
-}
-
-impl CommitLog for LocalLog {
-    fn on_commit(&mut self, _session: usize, ops: Vec<Op>, seq: u64, snapshot: u64) {
-        self.ops_executed += ops.len() as u64;
-        self.commits.push(LocalCommit { ops, seq, snapshot });
-    }
-
-    fn on_abort(&mut self) {
-        self.aborted += 1;
-    }
-}
-
 fn pick_object(rng: &mut StdRng, cfg: &StressConfig) -> Obj {
     let hot = cfg.hot_objects.min(cfg.object_count);
     if hot > 0 && cfg.hot_ratio > 0.0 && rng.gen_bool(cfg.hot_ratio) {
@@ -414,12 +217,7 @@ fn pick_object(rng: &mut StdRng, cfg: &StressConfig) -> Obj {
 /// One thread's workload loop: seeded read-modify-write transactions
 /// with failure injection; FCW-refused commits are retried until the
 /// quota is met.
-fn worker<P: StressProtocol, L: CommitLog>(
-    shared: &P,
-    log: &mut L,
-    cfg: &StressConfig,
-    thread_id: usize,
-) {
+fn worker(shared: &SharedSi, recorder: &Mutex<Recorder>, cfg: &StressConfig, thread_id: usize) {
     let mut rng = StdRng::seed_from_u64(cfg.seed ^ (thread_id as u64).wrapping_mul(0x9e37));
     let mut done = 0;
     while done < cfg.txs_per_thread {
@@ -443,68 +241,27 @@ fn worker<P: StressProtocol, L: CommitLog>(
         let snapshot = tx.snapshot;
         match shared.commit(tx) {
             Ok(seq) => {
-                log.on_commit(thread_id, ops, seq, snapshot);
+                // The recorder is locked inside the commit path, once per
+                // commit.
+                let mut rec = recorder.lock();
+                rec.stats.committed += 1;
+                rec.stats.ops_executed += ops.len() as u64;
+                rec.record(CommittedTx {
+                    session: thread_id,
+                    ops,
+                    seq,
+                    visible: VisibleSet::Prefix(snapshot),
+                });
                 done += 1;
             }
-            Err(_) => log.on_abort(),
+            Err(_) => recorder.lock().stats.aborted += 1,
         }
     }
 }
 
-fn outcome(result: RunResult, elapsed: Duration, gc: GcStats) -> StressOutcome {
-    let secs = elapsed.as_secs_f64();
-    let throughput_tps =
-        if secs > 0.0 { result.stats.committed as f64 / secs } else { f64::INFINITY };
-    StressOutcome { result, elapsed, throughput_tps, gc }
-}
-
-/// The thread-local-buffer execution path shared by the sharded and
-/// lock-free back-ends: spawn a worker per thread, merge the buffers
-/// after the join (snapshots become constant-size [`VisibleSet::Prefix`]
-/// records; `Recorder::record` re-asserts per-session monotonicity), and
-/// time only the execution phase.
-fn stress_local_logged<P: StressProtocol>(
-    shared: &P,
-    config: &StressConfig,
-) -> (Recorder, Duration) {
-    let logs: Mutex<Vec<(usize, LocalLog)>> = Mutex::new(Vec::new());
-    let start = Instant::now();
-    crossbeam::scope(|scope| {
-        for thread_id in 0..config.threads {
-            let logs = &logs;
-            scope.spawn(move |_| {
-                let mut log = LocalLog::default();
-                worker(shared, &mut log, config, thread_id);
-                // One push per thread lifetime, not per commit.
-                logs.lock().push((thread_id, log));
-            });
-        }
-    })
-    .expect("stress thread panicked");
-    let elapsed = start.elapsed();
-
-    let mut logs = logs.into_inner();
-    logs.sort_by_key(|&(thread_id, _)| thread_id);
-    let mut recorder = Recorder::new();
-    for (thread_id, log) in logs {
-        recorder.stats.aborted += log.aborted;
-        recorder.stats.ops_executed += log.ops_executed;
-        for c in log.commits {
-            recorder.stats.committed += 1;
-            recorder.record(CommittedTx {
-                session: thread_id,
-                ops: c.ops,
-                seq: c.seq,
-                visible: VisibleSet::Prefix(c.snapshot),
-            });
-        }
-    }
-    (recorder, elapsed)
-}
-
-/// Runs the configured workload against the chosen back-end and returns
-/// the validated result plus execution-phase timing. See [`StressConfig`]
-/// and [`StressEngine`].
+/// Runs the configured workload against the single-lock store and
+/// returns the validated result plus execution-phase timing. See
+/// [`StressConfig`].
 ///
 /// # Panics
 ///
@@ -515,8 +272,8 @@ pub fn stress(config: &StressConfig, engine: StressEngine) -> StressOutcome {
 }
 
 /// [`stress`] with a probe attached: every snapshot, version
-/// observation, shard-lock acquisition, install, GC prune, commit, and
-/// discarded attempt is reported to the sink. Events from different
+/// observation, install, commit, and discarded attempt is reported to
+/// the sink. Events from different
 /// threads are linearised by the sink, not by a global protocol lock, so
 /// consume them with order-insensitive analyses (counting, per-session
 /// projections) — the deterministic sanitizer is the tool for
@@ -527,9 +284,10 @@ pub fn stress_probed(
     probe: EngineProbe,
 ) -> StressOutcome {
     let initial_values = vec![Value::INITIAL; config.object_count];
-    let (recorder, elapsed, gc) = run_stress(config, engine, probe);
+    let (recorder, elapsed) = run_stress(config, engine, probe);
     let result = recorder.finish(&initial_values, config.threads);
-    outcome(result, elapsed, gc)
+    let throughput_tps = throughput(result.stats.committed, elapsed);
+    StressOutcome { result, elapsed, throughput_tps }
 }
 
 /// A stress run recorded without ground-truth relations: the history,
@@ -541,12 +299,10 @@ pub struct StressHistory {
     /// Aggregate counters.
     pub stats: RunStats,
     /// Wall-clock duration of the execution phase (thread spawn to
-    /// join); excludes post-run merging.
+    /// join); excludes building the history.
     pub elapsed: Duration,
     /// Committed transactions per second of the execution phase.
     pub throughput_tps: f64,
-    /// Garbage-collection counters (zero for the single-lock baseline).
-    pub gc: GcStats,
 }
 
 /// [`stress`] without the ground-truth execution: dense VIS/CO matrices
@@ -556,77 +312,59 @@ pub struct StressHistory {
 /// than trusting engine-reported relations anyway.
 pub fn stress_history_only(config: &StressConfig, engine: StressEngine) -> StressHistory {
     let initial_values = vec![Value::INITIAL; config.object_count];
-    let (recorder, elapsed, gc) = run_stress(config, engine, EngineProbe::disabled());
+    let (recorder, elapsed) = run_stress(config, engine, EngineProbe::disabled());
     let (history, stats, _metrics) = recorder.finish_history_only(&initial_values, config.threads);
+    let throughput_tps = throughput(stats.committed, elapsed);
+    StressHistory { history, stats, elapsed, throughput_tps }
+}
+
+fn throughput(committed: u64, elapsed: Duration) -> f64 {
     let secs = elapsed.as_secs_f64();
-    let throughput_tps = if secs > 0.0 { stats.committed as f64 / secs } else { f64::INFINITY };
-    StressHistory { history, stats, elapsed, throughput_tps, gc }
+    if secs > 0.0 {
+        committed as f64 / secs
+    } else {
+        f64::INFINITY
+    }
 }
 
 /// The execution phase shared by [`stress_probed`] and
-/// [`stress_history_only`]: spawn, drive, join, merge — everything but
-/// the finishing step that turns the recorder into a result.
+/// [`stress_history_only`]: spawn, drive, join — everything but the
+/// finishing step that turns the recorder into a result.
 fn run_stress(
     config: &StressConfig,
     engine: StressEngine,
     probe: EngineProbe,
-) -> (Recorder, Duration, GcStats) {
+) -> (Recorder, Duration) {
     assert!(config.object_count > 0, "need at least one object");
     assert!(config.threads > 0, "need at least one thread");
     assert!(config.txs_per_thread > 0, "need a per-thread commit quota");
     assert!(config.ops_per_tx > 0, "transactions need at least one step");
 
-    match engine {
-        StressEngine::SingleLock => {
-            let shared = SharedSi::new(config.object_count, probe);
-            let recorder = Mutex::new(Recorder::new());
-            let start = Instant::now();
-            crossbeam::scope(|scope| {
-                for thread_id in 0..config.threads {
-                    let shared = &shared;
-                    let recorder = &recorder;
-                    scope.spawn(move |_| {
-                        let mut log = GlobalLog { recorder };
-                        worker(shared, &mut log, config, thread_id);
-                    });
-                }
-            })
-            .expect("stress thread panicked");
-            let elapsed = start.elapsed();
-            (recorder.into_inner(), elapsed, GcStats::default())
+    let StressEngine::SingleLock = engine;
+    let shared = SharedSi::new(config.object_count, probe);
+    let recorder = Mutex::new(Recorder::new());
+    let start = Instant::now();
+    crossbeam::scope(|scope| {
+        for thread_id in 0..config.threads {
+            let shared = &shared;
+            let recorder = &recorder;
+            scope.spawn(move |_| worker(shared, recorder, config, thread_id));
         }
-        StressEngine::Sharded { shards, gc_interval } => {
-            let store = ShardedStore::new(
-                config.object_count,
-                ShardedStoreConfig { shards, gc_interval, sessions: config.threads },
-            );
-            let shared = ShardedSi { store, probe };
-            let (recorder, elapsed) = stress_local_logged(&shared, config);
-            let gc = shared.store.gc_stats();
-            (recorder, elapsed, gc)
-        }
-        StressEngine::LockFree { gc_interval } => {
-            let store = LockFreeStore::new(
-                config.object_count,
-                LockFreeStoreConfig { gc_interval, sessions: config.threads },
-            );
-            let shared = LockFreeSi { store, probe };
-            let (recorder, elapsed) = stress_local_logged(&shared, config);
-            let gc = shared.store.gc_stats();
-            (recorder, elapsed, gc)
-        }
-    }
+    })
+    .expect("stress thread panicked");
+    let elapsed = start.elapsed();
+    (recorder.into_inner(), elapsed)
 }
 
-/// Runs `threads` OS threads against the single-lock baseline, each
+/// Runs `threads` OS threads against the single-lock store, each
 /// performing `txs_per_thread` read-modify-write transactions on random
 /// objects (each thread is one session). A fraction of transactions is
 /// deliberately abandoned mid-flight (failure injection); aborted commits
 /// are retried indefinitely.
 ///
 /// Returns the recorded run, validated by the caller (tests assert the
-/// result is a legal SI execution). For configurable thread counts,
-/// contention and back-ends, use [`stress`].
+/// result is a legal SI execution). For configurable thread counts and
+/// contention, use [`stress`].
 ///
 /// # Panics
 ///
@@ -750,162 +488,5 @@ mod tests {
                 assert!(*seq >= 1 && *seq <= result.stats.committed, "orphaned install {seq}");
             }
         }
-    }
-
-    #[test]
-    fn sharded_stress_run_is_a_legal_si_execution() {
-        let config = StressConfig {
-            object_count: 8,
-            threads: 4,
-            txs_per_thread: 25,
-            ops_per_tx: 2,
-            write_ratio: 0.7,
-            hot_ratio: 0.5,
-            hot_objects: 2,
-            abort_ratio: 0.05,
-            seed: 0xBEEF,
-        };
-        let out = stress(&config, StressEngine::Sharded { shards: 4, gc_interval: 8 });
-        assert_eq!(out.result.stats.committed, 100);
-        assert!(SpecModel::Si.check(&out.result.execution).is_ok());
-    }
-
-    #[test]
-    fn sharded_counters_never_lose_updates() {
-        // Single-step increment transactions on a sharded store: the sum
-        // of final values must equal the committed count, i.e. FCW held
-        // across shards and threads.
-        let config = StressConfig {
-            object_count: 4,
-            threads: 4,
-            txs_per_thread: 25,
-            ops_per_tx: 1,
-            write_ratio: 1.0,
-            hot_ratio: 0.0,
-            hot_objects: 0,
-            abort_ratio: 0.1,
-            seed: 99,
-        };
-        let out = stress(&config, StressEngine::Sharded { shards: 2, gc_interval: 16 });
-        let history = &out.result.history;
-        let mut finals = [Value::INITIAL; 4];
-        for i in 1..history.tx_count() {
-            let t = history.transaction(si_relations::TxId::from_index(i));
-            for op in t.ops() {
-                if op.is_write() {
-                    finals[op.obj().index()] = op.value();
-                }
-            }
-        }
-        let total: u64 = finals.iter().map(|v| v.0).sum();
-        assert_eq!(total, out.result.stats.committed);
-    }
-
-    #[test]
-    fn sharded_stress_exercises_gc() {
-        let config = StressConfig {
-            object_count: 4,
-            threads: 2,
-            txs_per_thread: 50,
-            ops_per_tx: 1,
-            write_ratio: 1.0,
-            hot_ratio: 0.0,
-            hot_objects: 0,
-            abort_ratio: 0.0,
-            seed: 1,
-        };
-        let out = stress(&config, StressEngine::Sharded { shards: 2, gc_interval: 4 });
-        assert!(out.gc.passes > 0, "GC never fired under stress");
-        assert!(SpecModel::Si.check(&out.result.execution).is_ok());
-    }
-
-    #[test]
-    fn both_backends_meet_the_same_quota() {
-        let config = StressConfig::high_contention(3, 15, 0xD0_0D);
-        let single = stress(&config, StressEngine::SingleLock);
-        let sharded = stress(&config, StressEngine::Sharded { shards: 4, gc_interval: 32 });
-        assert_eq!(single.result.stats.committed, 45);
-        assert_eq!(sharded.result.stats.committed, 45);
-        assert!(SpecModel::Si.check(&single.result.execution).is_ok());
-        assert!(SpecModel::Si.check(&sharded.result.execution).is_ok());
-    }
-
-    #[test]
-    fn lockfree_stress_run_is_a_legal_si_execution() {
-        let config = StressConfig {
-            object_count: 8,
-            threads: 4,
-            txs_per_thread: 25,
-            ops_per_tx: 2,
-            write_ratio: 0.7,
-            hot_ratio: 0.5,
-            hot_objects: 2,
-            abort_ratio: 0.05,
-            seed: 0xFACE,
-        };
-        let out = stress(&config, StressEngine::LockFree { gc_interval: 8 });
-        assert_eq!(out.result.stats.committed, 100);
-        assert!(SpecModel::Si.check(&out.result.execution).is_ok());
-    }
-
-    #[test]
-    fn lockfree_counters_never_lose_updates() {
-        // Single-step increment transactions through the CAS commit
-        // path: the sum of final values must equal the committed count,
-        // i.e. first-committer-wins held under real concurrency.
-        let config = StressConfig {
-            object_count: 4,
-            threads: 4,
-            txs_per_thread: 25,
-            ops_per_tx: 1,
-            write_ratio: 1.0,
-            hot_ratio: 0.0,
-            hot_objects: 0,
-            abort_ratio: 0.1,
-            seed: 101,
-        };
-        let out = stress(&config, StressEngine::LockFree { gc_interval: 16 });
-        let history = &out.result.history;
-        let mut finals = [Value::INITIAL; 4];
-        for i in 1..history.tx_count() {
-            let t = history.transaction(si_relations::TxId::from_index(i));
-            for op in t.ops() {
-                if op.is_write() {
-                    finals[op.obj().index()] = op.value();
-                }
-            }
-        }
-        let total: u64 = finals.iter().map(|v| v.0).sum();
-        assert_eq!(total, out.result.stats.committed);
-    }
-
-    #[test]
-    fn lockfree_stress_exercises_gc_and_reclamation() {
-        let config = StressConfig {
-            object_count: 4,
-            threads: 2,
-            txs_per_thread: 50,
-            ops_per_tx: 1,
-            write_ratio: 1.0,
-            hot_ratio: 0.0,
-            hot_objects: 0,
-            abort_ratio: 0.0,
-            seed: 2,
-        };
-        let out = stress(&config, StressEngine::LockFree { gc_interval: 4 });
-        assert!(out.gc.passes > 0, "GC never fired under stress");
-        assert!(SpecModel::Si.check(&out.result.execution).is_ok());
-    }
-
-    #[test]
-    fn all_three_backends_meet_the_same_quota() {
-        let config = StressConfig::high_contention(3, 15, 0xD00E);
-        let single = stress(&config, StressEngine::SingleLock);
-        let sharded = stress(&config, StressEngine::Sharded { shards: 4, gc_interval: 32 });
-        let lockfree = stress(&config, StressEngine::LockFree { gc_interval: 32 });
-        assert_eq!(single.result.stats.committed, 45);
-        assert_eq!(sharded.result.stats.committed, 45);
-        assert_eq!(lockfree.result.stats.committed, 45);
-        assert!(SpecModel::Si.check(&lockfree.result.execution).is_ok());
     }
 }

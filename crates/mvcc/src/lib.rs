@@ -20,19 +20,12 @@
 //! * [`SsiEngine`] — serializable SI (Cahill et al.): the SI protocol plus
 //!   runtime prevention of the Theorem 19 dangerous structure (a pivot
 //!   with adjacent inbound and outbound anti-dependencies), so every
-//!   committed run is serializable while retaining SI's reads;
-//! * [`ShardedSiEngine`] — the same SI protocol over the lock-striped
-//!   [`ShardedStore`] (per-shard `RwLock`s, ascending-order multi-shard
-//!   commit locking, watermark publication, epoch GC). Driven by the
-//!   scheduler it is deterministic and byte-identical to [`SiEngine`];
-//!   the [`stress`] harness runs the same store genuinely parallel and
-//!   validates the run post hoc;
-//! * [`LockFreeSiEngine`] — the same SI protocol again over the
-//!   [`LockFreeStore`]: atomic version chains (readers take **no** lock),
-//!   CAS-validated first-committer-wins, a lock-free commit-completion
-//!   ring for out-of-order watermark publication, and epoch-deferred
-//!   node reclamation. Deterministic and byte-identical to [`SiEngine`]
-//!   under the scheduler, genuinely parallel under [`stress`].
+//!   committed run is serializable while retaining SI's reads.
+//!
+//! The [`stress`] harness runs the same SI protocol on real OS threads
+//! over one store behind a single `RwLock`, sharing
+//! [`MultiVersionStore::commit_writes`] with [`SiEngine`], and validates
+//! each run post hoc.
 //!
 //! Every engine reports ground truth on commit: its commit sequence
 //! number and the set of transactions visible to its snapshot. The
@@ -76,19 +69,13 @@
 
 mod concurrent;
 mod engine;
-pub mod lockfree;
-mod lockfree_engine;
 pub mod probe;
 mod psi_engine;
 mod recorder;
-mod ring;
 mod scheduler;
 mod script;
 mod ser_engine;
-pub mod shard;
-mod sharded_engine;
 mod si_engine;
-mod small;
 mod ssi_engine;
 mod store;
 
@@ -97,19 +84,13 @@ pub use concurrent::{
     StressConfig, StressEngine, StressHistory, StressOutcome,
 };
 pub use engine::{AbortReason, CommitInfo, Engine, TxToken};
-pub use lockfree::{ArenaStats, LockFreeStore, LockFreeStoreConfig};
-pub use lockfree_engine::LockFreeSiEngine;
 pub use probe::{EngineProbe, ProbeEvent, ProbeSink, VecProbe};
 pub use psi_engine::PsiEngine;
 pub use recorder::{CommittedTx, Recorder, RunResult, RunStats, VisibleSet};
-pub use ring::CompletionRing;
 pub use scheduler::{Scheduler, SchedulerConfig, Workload};
 pub use script::{Script, ScriptOp};
 pub use ser_engine::SerEngine;
-pub use shard::{GcStats, ShardedStore, ShardedStoreConfig, SnapshotRegistry};
-pub use sharded_engine::ShardedSiEngine;
 pub use si_engine::SiEngine;
-pub use small::SmallVec;
 pub use ssi_engine::SsiEngine;
 pub use store::{MultiVersionStore, Version};
 

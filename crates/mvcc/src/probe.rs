@@ -84,28 +84,6 @@ pub enum ProbeEvent {
         /// The aborting session.
         session: usize,
     },
-    /// Commit acquired the write locks of the listed shards (sharded
-    /// store only). Deadlock freedom rests on every committer acquiring
-    /// in ascending shard order; the sanitizer's race detector flags any
-    /// trace where the reported order is not strictly ascending.
-    ShardLocksAcquired {
-        /// The committing session.
-        session: usize,
-        /// Shard indices in acquisition order.
-        shards: Vec<usize>,
-    },
-    /// Epoch GC pruned versions from one shard: every version strictly
-    /// older than the newest version at or below `floor` was dropped.
-    /// `floor` is a lower bound on every live snapshot, so no reachable
-    /// read could have returned a pruned version.
-    VersionsPruned {
-        /// The shard that was pruned.
-        shard: usize,
-        /// The GC floor (oldest live snapshot at scan time).
-        floor: u64,
-        /// Number of versions dropped.
-        pruned: u64,
-    },
 }
 
 /// A consumer of probe events. Implementations must be cheap and must
@@ -225,8 +203,8 @@ mod tests {
     fn events_serialize() {
         for e in [
             ProbeEvent::SnapshotSet { session: 2, visible: vec![1, 3] },
-            ProbeEvent::ShardLocksAcquired { session: 1, shards: vec![0, 2, 5] },
-            ProbeEvent::VersionsPruned { shard: 3, floor: 7, pruned: 2 },
+            ProbeEvent::VersionObserved { session: 1, obj: Obj(4), seq: 2 },
+            ProbeEvent::AttemptDiscarded { session: 0 },
         ] {
             let json = serde_json::to_string(&e).unwrap();
             let back: ProbeEvent = serde_json::from_str(&json).unwrap();

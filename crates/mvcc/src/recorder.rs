@@ -8,7 +8,7 @@ use si_telemetry::MetricsReport;
 
 /// The set of commit sequence numbers a transaction's snapshot saw.
 ///
-/// Watermark engines (single-lock, sharded, lock-free) always see a
+/// The stress store's snapshots are watermarks: always a
 /// contiguous prefix `1..=upto`; materialising it per transaction is
 /// `O(n)` memory *per commit* — `O(n²)` for a run — which is exactly
 /// the cost that made 10^5-transaction stress recordings take tens of

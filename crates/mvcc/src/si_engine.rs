@@ -113,31 +113,21 @@ impl Engine for SiEngine {
     }
 
     fn commit(&mut self, tx: TxToken) -> Result<CommitInfo, AbortReason> {
-        let token = tx;
         let (session, snapshot, writes) = {
-            let t = self.tx(token);
-            (t.session, t.snapshot, t.writes.clone())
+            let t = self.tx(tx);
+            t.finished = true;
+            (t.session, t.snapshot, std::mem::take(&mut t.writes))
         };
-        // First-committer-wins write-conflict detection.
-        for &obj in writes.keys() {
-            if self.store.latest_seq(obj) > snapshot {
-                self.active[token.0].finished = true;
-                self.telemetry.emit(|| Event::TxAbort {
-                    session,
-                    cause: AbortCause::WwConflict,
-                    obj: Some(obj.0),
-                });
-                self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
-                return Err(AbortReason::WriteConflict(obj));
-            }
+        let seq = self.commit_counter + 1;
+        if let Err(obj) = self.store.commit_writes(session, snapshot, &writes, seq, &self.probe) {
+            self.telemetry.emit(|| Event::TxAbort {
+                session,
+                cause: AbortCause::WwConflict,
+                obj: Some(obj.0),
+            });
+            return Err(AbortReason::WriteConflict(obj));
         }
-        self.commit_counter += 1;
-        let seq = self.commit_counter;
-        for (&obj, &value) in &writes {
-            self.store.install(obj, value, seq);
-            self.probe.emit(|| ProbeEvent::VersionInstalled { session, obj, seq });
-        }
-        self.active[token.0].finished = true;
+        self.commit_counter = seq;
         self.telemetry.emit(|| Event::TxCommit { session, seq, ops: writes.len() });
         self.probe.emit(|| ProbeEvent::Committed { session, seq });
         Ok(CommitInfo { seq, visible: (1..=snapshot).collect() })

@@ -1,6 +1,10 @@
 //! The multi-version object store shared by all engines.
 
+use std::collections::BTreeMap;
+
 use si_model::{Obj, Value};
+
+use crate::probe::{EngineProbe, ProbeEvent};
 
 /// A committed version of an object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,24 +138,41 @@ impl MultiVersionStore {
         versions.insert(at, Version { value, commit_seq });
     }
 
-    /// Drops, for every object, all versions strictly older than the
-    /// newest version at or below `floor`; returns how many were
-    /// dropped. This is the shard GC's prune rule — safe when `floor`
-    /// is at most every live snapshot, *unsafe* otherwise (the
-    /// premature-reclaim mutant calls it with exactly such a floor).
-    pub fn prune_upto(&mut self, floor: u64) -> u64 {
-        let mut pruned = 0;
-        for chain in &mut self.versions {
-            let keep_from = chain
-                .iter()
-                .rposition(|v| v.commit_seq <= floor)
-                .expect("sequence 0 always satisfies the floor");
-            if keep_from > 0 {
-                chain.drain(..keep_from);
-                pruned += keep_from as u64;
+    /// The commit step of the paper's §1 SI algorithm, shared by the
+    /// deterministic [`SiEngine`](crate::SiEngine) and the real-thread
+    /// stress store: first-committer-wins validation of `writes` against
+    /// `snapshot`, then the install of every write at `seq`, in object
+    /// order. The caller owns sequence allocation and publication; this
+    /// routine only touches the version chains and reports
+    /// [`ProbeEvent::AttemptDiscarded`] on a conflict and
+    /// [`ProbeEvent::VersionInstalled`] per install.
+    ///
+    /// Returns the first object with a committed version newer than
+    /// `snapshot`, having installed nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an object is out of range or `seq` does not exceed the
+    /// newest version of some written object.
+    pub fn commit_writes(
+        &mut self,
+        session: usize,
+        snapshot: u64,
+        writes: &BTreeMap<Obj, Value>,
+        seq: u64,
+        probe: &EngineProbe,
+    ) -> Result<(), Obj> {
+        for &obj in writes.keys() {
+            if self.latest_seq(obj) > snapshot {
+                probe.emit(|| ProbeEvent::AttemptDiscarded { session });
+                return Err(obj);
             }
         }
-        pruned
+        for (&obj, &value) in writes {
+            self.install(obj, value, seq);
+            probe.emit(|| ProbeEvent::VersionInstalled { session, obj, seq });
+        }
+        Ok(())
     }
 
     /// All committed versions of an object, oldest first.
@@ -231,16 +252,18 @@ mod tests {
     }
 
     #[test]
-    fn prune_upto_drops_below_the_floor_version() {
-        let mut s = MultiVersionStore::new(1);
-        let x = Obj(0);
-        for seq in 1..=5 {
-            s.install(x, Value(seq * 10), seq);
-        }
-        // Floor 3: versions 0, 1, 2 go; 3 (the floor version), 4, 5 stay.
-        assert_eq!(s.prune_upto(3), 3);
-        let seqs: Vec<u64> = s.versions(x).iter().map(|v| v.commit_seq).collect();
-        assert_eq!(seqs, vec![3, 4, 5]);
-        assert_eq!(s.read_at(x, 4).value, Value(40));
+    fn commit_writes_refuses_a_stale_snapshot_and_installs_nothing() {
+        let mut s = MultiVersionStore::new(2);
+        let (x, y) = (Obj(0), Obj(1));
+        let probe = EngineProbe::disabled();
+        let first: BTreeMap<Obj, Value> = [(y, Value(1))].into();
+        assert_eq!(s.commit_writes(0, 0, &first, 1, &probe), Ok(()));
+        // Snapshot 0 predates y's version 1: first committer wins.
+        let both: BTreeMap<Obj, Value> = [(x, Value(2)), (y, Value(2))].into();
+        assert_eq!(s.commit_writes(1, 0, &both, 2, &probe), Err(y));
+        assert_eq!(s.latest_seq(x), 0, "a refused commit must install nothing");
+        assert_eq!(s.commit_writes(1, 1, &both, 2, &probe), Ok(()));
+        assert_eq!(s.read_at(x, 2).value, Value(2));
+        assert_eq!(s.read_at(y, 2).value, Value(2));
     }
 }

@@ -19,18 +19,7 @@
 //!   an `SO;RW` cycle, and the detector reports a
 //!   [`StaleRead`](crate::RaceKind): a version ordered before the read by
 //!   happens-before was skipped.
-//! * [`Mutation::ShardFcwSkip`] — the sharded commit path with one
-//!   shard's first-committer-wins validation dropped: objects mapping to
-//!   the skipped stripe commit without conflict detection, losing
-//!   updates exactly like `DropFirstCommitterWins` but only on a slice
-//!   of the object space.
-//! * [`Mutation::ShardLockOrderScramble`] — the sharded commit path
-//!   acquiring its shard locks in *descending* order. Values stay
-//!   correct (the run is serial under the explorer), but the reported
-//!   [`ShardLocksAcquired`](si_mvcc::ProbeEvent) order breaks the
-//!   deadlock-freedom discipline and the detector flags a
-//!   [`ShardLockOrder`](crate::RaceKind) hazard.
-//! * [`Mutation::TornPublish`] — the lock-free commit path's publication
+//! * [`Mutation::TornPublish`] — the stress store's publication
 //!   invariant broken: a multi-write commit publishes its sequence (and
 //!   reports `Committed`) after installing only its *first* version; the
 //!   remaining installs trickle in as background steps. A snapshot taken
@@ -38,19 +27,6 @@
 //!   of its writes, so the EXT axiom fails — and every late install is
 //!   flagged by the detector as a [`TornPublish`](crate::RaceKind) race
 //!   (an install of an already-committed sequence).
-//! * [`Mutation::PrematureReclaim`] — the epoch-reclamation fence
-//!   dropped: after every commit the store is pruned to the bare
-//!   watermark, ignoring live registered snapshots. A reader whose
-//!   snapshot predates the prune finds its version gone and (like a
-//!   recycled node would) observes a too-new version instead: the
-//!   detector flags the prune as a
-//!   [`PrematureReclaim`](crate::RaceKind) and the read as a
-//!   [`DirtyRead`](crate::RaceKind), and the axioms reject the run.
-//!
-//! The sharded mutants re-enact the sharded protocol's *observable*
-//! surface (per-shard validation coverage, reported lock order) over the
-//! plain store — which is the point: the sanitizer judges engines by
-//! their traces and recorded runs, not their lock graphs.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -69,26 +45,9 @@ pub enum Mutation {
         /// The lag, in commits.
         lag: u64,
     },
-    /// Sharded commit whose first-committer-wins validation skips every
-    /// object on one stripe (`index % shards == skip`).
-    ShardFcwSkip {
-        /// Stripe count of the simulated sharded store.
-        shards: usize,
-        /// The stripe whose validation is dropped.
-        skip: usize,
-    },
-    /// Sharded commit acquiring its shard locks in descending order.
-    ShardLockOrderScramble {
-        /// Stripe count of the simulated sharded store.
-        shards: usize,
-    },
     /// Multi-write commits publish their sequence after installing only
     /// the first version; the rest install later as background steps.
     TornPublish,
-    /// After every commit the store is pruned to the watermark with no
-    /// regard for live registered snapshots; reads whose version was
-    /// reclaimed observe the oldest surviving version instead.
-    PrematureReclaim,
 }
 
 #[derive(Debug)]
@@ -173,17 +132,7 @@ impl Engine for MutantSiEngine {
             }
             (t.session, t.snapshot)
         };
-        // Premature reclaim: if GC already freed every version the
-        // snapshot could see, the chain-walk lands on a recycled node —
-        // modelled here as reading the oldest *surviving* version, whose
-        // sequence is newer than the snapshot allows.
-        let oldest = self.store.versions(obj)[0];
-        let version = if self.mutation == Mutation::PrematureReclaim && oldest.commit_seq > snapshot
-        {
-            oldest
-        } else {
-            self.store.read_at(obj, snapshot)
-        };
+        let version = self.store.read_at(obj, snapshot);
         self.probe.emit(|| ProbeEvent::VersionObserved { session, obj, seq: version.commit_seq });
         version.value
     }
@@ -197,30 +146,9 @@ impl Engine for MutantSiEngine {
             let t = self.tx(tx);
             (t.session, t.snapshot, t.writes.clone())
         };
-        // The sharded mutants report the lock order the sharded commit
-        // path would have used — ascending is the contract, descending is
-        // the scramble defect.
-        if !writes.is_empty() {
-            match self.mutation {
-                Mutation::ShardFcwSkip { shards, .. } => {
-                    let order = shard_order(&writes, shards);
-                    self.probe.emit(|| ProbeEvent::ShardLocksAcquired { session, shards: order });
-                }
-                Mutation::ShardLockOrderScramble { shards } => {
-                    let mut order = shard_order(&writes, shards);
-                    order.reverse();
-                    self.probe.emit(|| ProbeEvent::ShardLocksAcquired { session, shards: order });
-                }
-                _ => {}
-            }
-        }
-        let validated = |obj: Obj| match self.mutation {
-            Mutation::DropFirstCommitterWins => false,
-            Mutation::ShardFcwSkip { shards, skip } => obj.index() % shards != skip,
-            _ => true,
-        };
+        let validated = self.mutation != Mutation::DropFirstCommitterWins;
         for &obj in writes.keys() {
-            if validated(obj) && self.store.latest_seq(obj) > snapshot {
+            if validated && self.store.latest_seq(obj) > snapshot {
                 self.active[tx.raw()].finished = true;
                 self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
                 return Err(AbortReason::WriteConflict(obj));
@@ -245,14 +173,6 @@ impl Engine for MutantSiEngine {
         }
         self.active[tx.raw()].finished = true;
         self.probe.emit(|| ProbeEvent::Committed { session, seq });
-        // Premature reclaim: prune straight to the commit counter,
-        // ignoring every snapshot still in flight.
-        if self.mutation == Mutation::PrematureReclaim {
-            let pruned = self.store.prune_upto(seq);
-            if pruned > 0 {
-                self.probe.emit(|| ProbeEvent::VersionsPruned { shard: 0, floor: seq, pruned });
-            }
-        }
         Ok(CommitInfo { seq, visible: (1..=snapshot).collect() })
     }
 
@@ -267,10 +187,7 @@ impl Engine for MutantSiEngine {
         match self.mutation {
             Mutation::DropFirstCommitterWins => "SI-mutant-drop-fcw",
             Mutation::SnapshotLag { .. } => "SI-mutant-snapshot-lag",
-            Mutation::ShardFcwSkip { .. } => "SI-mutant-shard-fcw-skip",
-            Mutation::ShardLockOrderScramble { .. } => "SI-mutant-shard-lock-order",
             Mutation::TornPublish => "SI-mutant-torn-publish",
-            Mutation::PrematureReclaim => "SI-mutant-premature-reclaim",
         }
     }
 
@@ -292,14 +209,6 @@ impl Engine for MutantSiEngine {
         self.probe.emit(|| ProbeEvent::VersionInstalled { session, obj, seq });
         true
     }
-}
-
-/// The ascending stripe set of a write set under `index % shards`
-/// partitioning — what a correct sharded commit would lock, in order.
-fn shard_order(writes: &BTreeMap<Obj, Value>, shards: usize) -> Vec<usize> {
-    let set: std::collections::BTreeSet<usize> =
-        writes.keys().map(|obj| obj.index() % shards).collect();
-    set.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -337,53 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_fcw_skip_loses_updates_on_the_skipped_stripe_only() {
-        // Objects 0 and 2 map to stripe 0 (skipped), object 1 to stripe 1.
-        let mut e = MutantSiEngine::new(2, Mutation::ShardFcwSkip { shards: 2, skip: 0 });
-        let x = Obj(0);
-        let t1 = e.begin(0);
-        let t2 = e.begin(1);
-        let v1 = e.read(t1, x);
-        let v2 = e.read(t2, x);
-        e.write(t1, x, Value(v1.0 + 1));
-        e.write(t2, x, Value(v2.0 + 1));
-        assert!(e.commit(t1).is_ok());
-        // Stripe 0's validation is gone: the conflicting commit slips
-        // through and t1's increment is lost.
-        assert!(e.commit(t2).is_ok());
-        assert_eq!(e.store.read_at(x, u64::MAX).value, Value(1));
-
-        // The untouched stripe still enforces first-committer-wins.
-        let y = Obj(1);
-        let t3 = e.begin(0);
-        let t4 = e.begin(1);
-        e.write(t3, y, Value(1));
-        e.write(t4, y, Value(2));
-        assert!(e.commit(t3).is_ok());
-        assert_eq!(e.commit(t4), Err(AbortReason::WriteConflict(y)));
-    }
-
-    #[test]
-    fn lock_order_scramble_reports_descending_shards() {
-        let probe = std::sync::Arc::new(si_mvcc::VecProbe::new());
-        let mut e = MutantSiEngine::new(4, Mutation::ShardLockOrderScramble { shards: 2 });
-        e.set_probe(EngineProbe::new(probe.clone()));
-        let t = e.begin(0);
-        e.write(t, Obj(0), Value(1));
-        e.write(t, Obj(1), Value(1));
-        assert!(e.commit(t).is_ok());
-        let orders: Vec<Vec<usize>> = probe
-            .drain()
-            .into_iter()
-            .filter_map(|ev| match ev {
-                ProbeEvent::ShardLocksAcquired { shards, .. } => Some(shards),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(orders, vec![vec![1, 0]]);
-    }
-
-    #[test]
     fn torn_publish_defers_all_but_the_first_install() {
         let mut e = MutantSiEngine::new(2, Mutation::TornPublish);
         let (x, y) = (Obj(0), Obj(1));
@@ -415,23 +277,6 @@ mod tests {
         assert!(!e.background_pending());
         let t2 = e.begin(1);
         assert_eq!(e.read(t2, x), Value(7));
-    }
-
-    #[test]
-    fn premature_reclaim_frees_versions_under_live_snapshots() {
-        let mut e = MutantSiEngine::new(2, Mutation::PrematureReclaim);
-        let (x, y) = (Obj(0), Obj(1));
-        // Reader pins snapshot 0; a later commit prunes the initial
-        // versions out from under it.
-        let reader = e.begin(0);
-        let writer = e.begin(1);
-        e.write(writer, x, Value(5));
-        e.write(writer, y, Value(5));
-        assert!(e.commit(writer).is_ok());
-        // The reader's snapshot (0) predates the only surviving version
-        // (seq 1): it observes the too-new value — a dirty read.
-        assert_eq!(e.read(reader, x), Value(5));
-        assert_eq!(e.store.versions(x).len(), 1);
     }
 
     #[test]

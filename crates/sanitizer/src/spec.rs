@@ -10,10 +10,7 @@ use serde::{Deserialize, Serialize};
 use si_core::GraphClass;
 use si_execution::SpecModel;
 use si_model::Obj;
-use si_mvcc::{
-    Engine, LockFreeSiEngine, LockFreeStoreConfig, PsiEngine, Script, ScriptOp, SerEngine,
-    ShardedSiEngine, ShardedStoreConfig, SiEngine, SsiEngine, Workload,
-};
+use si_mvcc::{Engine, PsiEngine, Script, ScriptOp, SerEngine, SiEngine, SsiEngine, Workload};
 
 use crate::mutant::{MutantSiEngine, Mutation};
 
@@ -32,13 +29,6 @@ pub enum EngineSpec {
         /// Number of replicas (sessions are pinned round-robin).
         replicas: usize,
     },
-    /// [`ShardedSiEngine`]: SI over the lock-striped store with epoch GC.
-    ShardedSi {
-        /// Stripe count of the store.
-        shards: usize,
-        /// Installs per shard between GC passes (`0` = never).
-        gc_interval: u64,
-    },
     /// Seeded mutant: SI without first-committer-wins (admits lost
     /// updates).
     MutantDropFcw,
@@ -48,33 +38,9 @@ pub enum EngineSpec {
         /// How many commits the snapshot lags behind the counter.
         lag: u64,
     },
-    /// Seeded mutant: the sharded commit path with one stripe's
-    /// first-committer-wins validation skipped (admits lost updates on
-    /// that stripe).
-    MutantShardFcwSkip {
-        /// Stripe count of the simulated sharded store.
-        shards: usize,
-        /// The stripe whose validation is dropped.
-        skip: usize,
-    },
-    /// Seeded mutant: the sharded commit path acquiring shard locks in
-    /// descending order (a deadlock hazard the lock-order audit flags).
-    MutantShardLockOrder {
-        /// Stripe count of the simulated sharded store.
-        shards: usize,
-    },
-    /// [`LockFreeSiEngine`]: SI over the lock-free version chains with
-    /// epoch reclamation.
-    LockFreeSi {
-        /// Installs between GC passes (`0` = never).
-        gc_interval: u64,
-    },
     /// Seeded mutant: multi-write commits publish before all their
     /// versions are installed (admits torn reads that break EXT).
     MutantTornPublish,
-    /// Seeded mutant: GC prunes to the commit counter, ignoring live
-    /// snapshots (admits dirty reads through reclaimed versions).
-    MutantPrematureReclaim,
 }
 
 /// What the oracles should hold an engine's runs to.
@@ -99,34 +65,14 @@ impl EngineSpec {
             EngineSpec::Ser => Box::new(SerEngine::new(object_count)),
             EngineSpec::Ssi => Box::new(SsiEngine::new(object_count)),
             EngineSpec::Psi { replicas } => Box::new(PsiEngine::new(object_count, replicas)),
-            EngineSpec::ShardedSi { shards, gc_interval } => {
-                Box::new(ShardedSiEngine::with_config(
-                    object_count,
-                    ShardedStoreConfig { shards, gc_interval, ..ShardedStoreConfig::default() },
-                ))
-            }
             EngineSpec::MutantDropFcw => {
                 Box::new(MutantSiEngine::new(object_count, Mutation::DropFirstCommitterWins))
             }
             EngineSpec::MutantSnapshotLag { lag } => {
                 Box::new(MutantSiEngine::new(object_count, Mutation::SnapshotLag { lag }))
             }
-            EngineSpec::MutantShardFcwSkip { shards, skip } => {
-                Box::new(MutantSiEngine::new(object_count, Mutation::ShardFcwSkip { shards, skip }))
-            }
-            EngineSpec::MutantShardLockOrder { shards } => Box::new(MutantSiEngine::new(
-                object_count,
-                Mutation::ShardLockOrderScramble { shards },
-            )),
-            EngineSpec::LockFreeSi { gc_interval } => Box::new(LockFreeSiEngine::with_config(
-                object_count,
-                LockFreeStoreConfig { gc_interval, ..LockFreeStoreConfig::default() },
-            )),
             EngineSpec::MutantTornPublish => {
                 Box::new(MutantSiEngine::new(object_count, Mutation::TornPublish))
-            }
-            EngineSpec::MutantPrematureReclaim => {
-                Box::new(MutantSiEngine::new(object_count, Mutation::PrematureReclaim))
             }
         }
     }
@@ -136,14 +82,9 @@ impl EngineSpec {
     pub fn expectation(&self) -> Expectation {
         match self {
             EngineSpec::Si
-            | EngineSpec::ShardedSi { .. }
-            | EngineSpec::LockFreeSi { .. }
             | EngineSpec::MutantDropFcw
             | EngineSpec::MutantSnapshotLag { .. }
-            | EngineSpec::MutantShardFcwSkip { .. }
-            | EngineSpec::MutantShardLockOrder { .. }
-            | EngineSpec::MutantTornPublish
-            | EngineSpec::MutantPrematureReclaim => {
+            | EngineSpec::MutantTornPublish => {
                 Expectation { axioms: SpecModel::Si, graph: GraphClass::Si, monitor: SpecModel::Si }
             }
             EngineSpec::Ser => Expectation {
@@ -183,14 +124,9 @@ impl EngineSpec {
             EngineSpec::Ser => "SER",
             EngineSpec::Ssi => "SSI",
             EngineSpec::Psi { .. } => "PSI",
-            EngineSpec::ShardedSi { .. } => "SI-sharded",
-            EngineSpec::LockFreeSi { .. } => "SI-lockfree",
             EngineSpec::MutantDropFcw => "SI-mutant-drop-fcw",
             EngineSpec::MutantSnapshotLag { .. } => "SI-mutant-snapshot-lag",
-            EngineSpec::MutantShardFcwSkip { .. } => "SI-mutant-shard-fcw-skip",
-            EngineSpec::MutantShardLockOrder { .. } => "SI-mutant-shard-lock-order",
             EngineSpec::MutantTornPublish => "SI-mutant-torn-publish",
-            EngineSpec::MutantPrematureReclaim => "SI-mutant-premature-reclaim",
         }
     }
 }
@@ -348,14 +284,9 @@ mod tests {
             EngineSpec::Ser,
             EngineSpec::Ssi,
             EngineSpec::Psi { replicas: 2 },
-            EngineSpec::ShardedSi { shards: 2, gc_interval: 1 },
             EngineSpec::MutantDropFcw,
             EngineSpec::MutantSnapshotLag { lag: 1 },
-            EngineSpec::MutantShardFcwSkip { shards: 2, skip: 0 },
-            EngineSpec::MutantShardLockOrder { shards: 2 },
-            EngineSpec::LockFreeSi { gc_interval: 1 },
             EngineSpec::MutantTornPublish,
-            EngineSpec::MutantPrematureReclaim,
         ] {
             let json = serde_json::to_string(&spec).unwrap();
             let back: EngineSpec = serde_json::from_str(&json).unwrap();
@@ -371,31 +302,6 @@ mod tests {
             EngineSpec::MutantSnapshotLag { lag: 1 }.expectation(),
             EngineSpec::Si.expectation()
         );
-        assert_eq!(
-            EngineSpec::MutantShardFcwSkip { shards: 2, skip: 0 }.expectation(),
-            EngineSpec::Si.expectation()
-        );
-        assert_eq!(
-            EngineSpec::MutantShardLockOrder { shards: 2 }.expectation(),
-            EngineSpec::Si.expectation()
-        );
         assert_eq!(EngineSpec::MutantTornPublish.expectation(), EngineSpec::Si.expectation());
-        assert_eq!(EngineSpec::MutantPrematureReclaim.expectation(), EngineSpec::Si.expectation());
-    }
-
-    #[test]
-    fn lockfree_engine_spec_matches_the_reference_si_contract() {
-        let spec = EngineSpec::LockFreeSi { gc_interval: 1 };
-        assert_eq!(spec.expectation(), EngineSpec::Si.expectation());
-        assert!(spec.writes_are_local());
-        assert_eq!(spec.name(), "SI-lockfree");
-    }
-
-    #[test]
-    fn sharded_engine_spec_matches_the_reference_si_contract() {
-        let spec = EngineSpec::ShardedSi { shards: 4, gc_interval: 1 };
-        assert_eq!(spec.expectation(), EngineSpec::Si.expectation());
-        assert!(spec.writes_are_local());
-        assert_eq!(spec.name(), "SI-sharded");
     }
 }

@@ -11,21 +11,7 @@
 use si_sanitizer::{sanitize, scripts, EngineSpec, SanitizeConfig};
 
 fn engines() -> Vec<EngineSpec> {
-    vec![
-        EngineSpec::Si,
-        EngineSpec::Ser,
-        EngineSpec::Ssi,
-        EngineSpec::Psi { replicas: 2 },
-        // The lock-striped engine with GC on every install: the most
-        // adversarial configuration (maximum pruning, minimum version
-        // retention) must still satisfy the full SI contract on every
-        // interleaving.
-        EngineSpec::ShardedSi { shards: 2, gc_interval: 1 },
-        // Likewise the lock-free engine under maximal GC pressure: every
-        // commit triggers a pass, so epoch reclamation and the
-        // completion-ring watermark are exercised on every interleaving.
-        EngineSpec::LockFreeSi { gc_interval: 1 },
-    ]
+    vec![EngineSpec::Si, EngineSpec::Ser, EngineSpec::Ssi, EngineSpec::Psi { replicas: 2 }]
 }
 
 #[test]

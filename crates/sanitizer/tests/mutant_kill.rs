@@ -99,78 +99,6 @@ fn snapshot_lag_breaks_the_session_axiom() {
 }
 
 #[test]
-fn shard_fcw_skip_mutant_is_killed_with_minimal_replay() {
-    // lost_update contends on Obj(0), which maps to stripe 0 — exactly
-    // the stripe whose validation the mutant dropped.
-    let spec = EngineSpec::MutantShardFcwSkip { shards: 2, skip: 0 };
-    let report = kill(&spec, &scripts::lost_update());
-    let case = &report.failures[0];
-
-    // Same signature as a full FCW drop, scoped to one stripe:
-    // concurrent installs, a NOCONFLICT violation, a GraphSI exit.
-    assert!(
-        case.failures
-            .iter()
-            .any(|f| matches!(f, Failure::Race(r) if r.kind == RaceKind::WwInstall)),
-        "expected a WwInstall race, got {:?}",
-        case.failures
-    );
-    assert!(case.failures.iter().any(|f| matches!(f, Failure::Axioms { .. })));
-    assert!(case.failures.iter().any(|f| matches!(f, Failure::Graph { .. })));
-
-    assert!(case.shrink_steps > 0, "shrinking never ran");
-    assert!(case.replay.decisions.len() <= case.found_decisions, "minimisation grew the schedule");
-    assert_replay_reproduces(&spec, &case.replay);
-}
-
-#[test]
-fn shard_fcw_skip_spares_the_other_stripe() {
-    // The same defect cannot bite on stripe 1: contention on Obj(1) is
-    // still validated, so exploration stays clean.
-    let spec = EngineSpec::MutantShardFcwSkip { shards: 2, skip: 0 };
-    let y = si_model::Obj(1);
-    let inc = si_mvcc::Script::new().read(y).write_computed(y, [0], 1);
-    let w = si_mvcc::Workload::new(2).session([inc.clone()]).session([inc]);
-    let report = sanitize(&spec, &w, &SanitizeConfig::default());
-    assert!(report.is_clean(), "validation on the untouched stripe was lost");
-}
-
-#[test]
-fn shard_lock_order_mutant_is_killed_with_minimal_replay() {
-    // read_skew's writer updates Obj(0) and Obj(1) in one transaction —
-    // two stripes under `shards: 2`, so the scrambled engine reports a
-    // descending acquisition order and the lock-order audit fires.
-    let spec = EngineSpec::MutantShardLockOrder { shards: 2 };
-    let report = kill(&spec, &scripts::read_skew());
-    let case = &report.failures[0];
-
-    assert!(
-        case.failures
-            .iter()
-            .any(|f| matches!(f, Failure::Race(r) if r.kind == RaceKind::ShardLockOrder)),
-        "expected a ShardLockOrder hazard, got {:?}",
-        case.failures
-    );
-    // The defect is a deadlock *hazard*, not a value corruption: the
-    // recorded run itself still satisfies the SI axioms.
-    assert!(
-        !case.failures.iter().any(|f| matches!(f, Failure::Axioms { .. })),
-        "lock-order scramble should not corrupt values, got {:?}",
-        case.failures
-    );
-    assert_replay_reproduces(&spec, &case.replay);
-}
-
-#[test]
-fn shard_lock_order_mutant_survives_single_stripe_commits() {
-    // A transaction that writes a single stripe has nothing to scramble:
-    // a one-element acquisition order is trivially ascending.
-    let spec = EngineSpec::MutantShardLockOrder { shards: 2 };
-    let report = sanitize(&spec, &scripts::lost_update(), &SanitizeConfig::default());
-    assert!(report.is_clean(), "false positive on single-stripe commits");
-}
-
-#[test]
 fn torn_publish_mutant_is_killed_with_minimal_replay() {
     // read_skew's writer commits Obj(0) and Obj(1) together; the mutant
     // publishes the sequence after installing only the first version, so
@@ -217,66 +145,6 @@ fn torn_publish_mutant_survives_single_write_commits() {
     let spec = EngineSpec::MutantTornPublish;
     let report = sanitize(&spec, &scripts::lost_update(), &SanitizeConfig::default());
     assert!(report.is_clean(), "false positive on single-write commits");
-}
-
-#[test]
-fn premature_reclaim_mutant_is_killed_with_minimal_replay() {
-    // read_skew's reader can pin a snapshot while the writer commits and
-    // prunes straight to the counter: the prune overruns the live
-    // snapshot (PrematureReclaim) and the reader's chain walk lands on a
-    // too-new version (DirtyRead).
-    let spec = EngineSpec::MutantPrematureReclaim;
-    let report = kill(&spec, &scripts::read_skew());
-    let case = &report.failures[0];
-
-    assert!(
-        case.failures.iter().any(|f| matches!(
-            f,
-            Failure::Race(r) if r.kind == RaceKind::PrematureReclaim || r.kind == RaceKind::DirtyRead
-        )),
-        "expected a PrematureReclaim or DirtyRead race, got {:?}",
-        case.failures
-    );
-    assert_replay_reproduces(&spec, &case.replay);
-
-    // The full space must contain both signatures, plus an axiom-level
-    // rejection of the read through the reclaimed version.
-    let full = sanitize(
-        &spec,
-        &scripts::read_skew(),
-        &SanitizeConfig {
-            stop_at_first_failure: false,
-            shrink: false,
-            ..SanitizeConfig::default()
-        },
-    );
-    let race = |kind: RaceKind| {
-        full.failures
-            .iter()
-            .any(|c| c.failures.iter().any(|f| matches!(f, Failure::Race(r) if r.kind == kind)))
-    };
-    assert!(race(RaceKind::PrematureReclaim), "no interleaving pruned over a live snapshot");
-    assert!(race(RaceKind::DirtyRead), "no interleaving read a reclaimed version");
-    assert!(
-        full.failures
-            .iter()
-            .any(|c| c.failures.iter().any(|f| matches!(f, Failure::Axioms { .. }))),
-        "no interleaving broke the axioms on the reclaimed read"
-    );
-}
-
-#[test]
-fn premature_reclaim_mutant_survives_solo_sessions() {
-    // With no concurrent snapshot to overrun, pruning to the commit
-    // counter is exactly the legal GC floor.
-    let spec = EngineSpec::MutantPrematureReclaim;
-    let x = si_model::Obj(0);
-    let w = si_mvcc::Workload::new(1).session([
-        si_mvcc::Script::new().write_const(x, 1),
-        si_mvcc::Script::new().read(x).write_computed(x, [0], 1),
-    ]);
-    let report = sanitize(&spec, &w, &SanitizeConfig::default());
-    assert!(report.is_clean(), "false positive without concurrent snapshots");
 }
 
 #[test]

@@ -142,18 +142,6 @@ pub enum Event {
         /// Search restarts.
         restarts: u64,
     },
-    /// The sharded store's epoch GC pruned versions no live snapshot
-    /// can reach (emitted by the sharded SI engine at the commit that
-    /// triggered the pass).
-    GcPass {
-        /// Client session whose commit triggered the pass.
-        session: usize,
-        /// Prune passes triggered by this commit (one per affected
-        /// shard).
-        passes: u64,
-        /// Versions dropped across those passes.
-        pruned: u64,
-    },
     /// Progress of the sanitizer's interleaving explorer: cumulative
     /// counters emitted periodically (and once at the end of a run).
     ExplorationProgress {

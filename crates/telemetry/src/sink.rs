@@ -87,8 +87,6 @@ pub struct CountingSink {
     solver_iterations: AtomicU64,
     cdcl_progress: AtomicU64,
     exploration_progress: AtomicU64,
-    gc_passes: AtomicU64,
-    gc_pruned: AtomicU64,
 }
 
 impl CountingSink {
@@ -166,16 +164,6 @@ impl CountingSink {
     pub fn exploration_progress(&self) -> u64 {
         self.exploration_progress.load(Ordering::Relaxed)
     }
-
-    /// `GcPass` events seen.
-    pub fn gc_passes(&self) -> u64 {
-        self.gc_passes.load(Ordering::Relaxed)
-    }
-
-    /// Total versions reported pruned across all `GcPass` events.
-    pub fn gc_pruned(&self) -> u64 {
-        self.gc_pruned.load(Ordering::Relaxed)
-    }
 }
 
 impl TelemetrySink for CountingSink {
@@ -204,10 +192,6 @@ impl TelemetrySink for CountingSink {
             Event::SolverIteration { .. } => &self.solver_iterations,
             Event::CdclProgress { .. } => &self.cdcl_progress,
             Event::ExplorationProgress { .. } => &self.exploration_progress,
-            Event::GcPass { pruned, .. } => {
-                self.gc_pruned.fetch_add(*pruned, Ordering::Relaxed);
-                &self.gc_passes
-            }
         }
         .fetch_add(1, Ordering::Relaxed);
     }
@@ -355,8 +339,6 @@ mod tests {
         t.emit(|| Event::TxAbort { session: 1, cause: AbortCause::RwConflict, obj: None });
         t.emit(|| Event::EdgeAdded { kind: EdgeKind::Rw, from: 0, to: 1 });
         t.emit(|| Event::VerdictEmitted { check: "t", ok: true, nanos: 5 });
-        t.emit(|| Event::GcPass { session: 0, passes: 1, pruned: 3 });
-        t.emit(|| Event::GcPass { session: 1, passes: 2, pruned: 4 });
         assert_eq!(sink.begins(), 1);
         assert_eq!(sink.commits(), 1);
         assert_eq!(sink.aborts(AbortCause::WwConflict), 1);
@@ -365,8 +347,6 @@ mod tests {
         assert_eq!(sink.edges(EdgeKind::Rw), 1);
         assert_eq!(sink.total_edges(), 1);
         assert_eq!(sink.verdicts(), (1, 1));
-        assert_eq!(sink.gc_passes(), 2);
-        assert_eq!(sink.gc_pruned(), 7);
     }
 
     #[test]

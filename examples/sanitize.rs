@@ -26,24 +26,14 @@ use analysing_si::sanitizer::{
 };
 
 fn engines() -> Vec<EngineSpec> {
-    vec![
-        EngineSpec::Si,
-        EngineSpec::Ser,
-        EngineSpec::Ssi,
-        EngineSpec::Psi { replicas: 2 },
-        EngineSpec::ShardedSi { shards: 2, gc_interval: 1 },
-        EngineSpec::LockFreeSi { gc_interval: 1 },
-    ]
+    vec![EngineSpec::Si, EngineSpec::Ser, EngineSpec::Ssi, EngineSpec::Psi { replicas: 2 }]
 }
 
 fn mutants() -> Vec<EngineSpec> {
     vec![
         EngineSpec::MutantDropFcw,
         EngineSpec::MutantSnapshotLag { lag: 1 },
-        EngineSpec::MutantShardFcwSkip { shards: 2, skip: 0 },
-        EngineSpec::MutantShardLockOrder { shards: 2 },
         EngineSpec::MutantTornPublish,
-        EngineSpec::MutantPrematureReclaim,
     ]
 }
 

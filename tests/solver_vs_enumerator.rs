@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use analysing_si::analysis::{check_psi, check_ser, check_si, history_membership, SearchBudget};
 use analysing_si::execution::SpecModel;
 use analysing_si::model::History;
-use analysing_si::mvcc::{stress, stress_history_only, StressConfig, StressEngine};
+use analysing_si::mvcc::{stress_history_only, StressConfig, StressEngine};
 use analysing_si::solver::{solve, SolveOutcome, SolverMode};
 use analysing_si::workloads::histgen::{generate, Anomaly, HistGen};
 
@@ -107,51 +107,23 @@ fn solver_certifies_ten_thousand_txs() {
     );
 }
 
-/// Regression: `ShardedStore::commit` once returned before the
-/// publication watermark covered its own sequence, so a session's next
-/// snapshot — a single watermark load — could miss the session's *own
-/// just-committed writes* whenever an earlier-allocated sequence was
-/// still installing on another thread. The resulting histories violated
-/// read-your-writes and fell outside SER, SI *and* PSI; si-solve caught
-/// it by refuting a 20k-transaction stress recording. The window needs
-/// real threads and enough transactions for a preemption to land between
-/// sequence allocation and publication, hence the scale (and the
-/// release-only gate).
+/// A 10^5-transaction recording from the single-lock stress store, with
+/// four threads under real preemption, must be certified a member of
+/// HistSI by si-solve. The solver independently rebuilds a witness for
+/// every recorded transaction, so this is the end-to-end evidence for
+/// the real-thread commit path.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-only scale smoke")]
-fn sharded_stress_recordings_stay_in_hist_si() {
-    for (txs_per_thread, seed) in [(3_000usize, 0x5EED ^ 3_000u64), (5_000, 0x5EED ^ 5_000)] {
-        let config = StressConfig::low_contention(4, txs_per_thread, seed);
-        let outcome = stress(&config, StressEngine::Sharded { shards: 8, gc_interval: 512 });
-        let h = outcome.result.history;
-        let result = solve(&h, SolverMode::Si);
-        assert!(
-            result.outcome.is_member(),
-            "sharded stress recording ({} txs, seed {seed:#x}) fell outside HistSI",
-            h.tx_count()
-        );
-    }
-}
-
-/// The lock-free analogue of the sharded regression smoke, scaled up: a
-/// 10^5-transaction stress recording from the CAS-based commit path —
-/// intent placement, out-of-order ring publication and epoch-fenced
-/// reclamation all running under real preemption — must be certified a
-/// member of HistSI by si-solve. This is the strongest end-to-end
-/// evidence the lock-free engine has: the solver independently rebuilds
-/// a witness for every recorded transaction.
-#[test]
-#[cfg_attr(debug_assertions, ignore = "release-only scale smoke")]
-fn lockfree_stress_recordings_stay_in_hist_si() {
+fn single_lock_stress_recordings_stay_in_hist_si() {
     let (threads, txs_per_thread, seed) = (4usize, 25_000usize, 0x10CF ^ 25_000u64);
     let config = StressConfig::low_contention(threads, txs_per_thread, seed);
-    let outcome = stress_history_only(&config, StressEngine::LockFree { gc_interval: 512 });
+    let outcome = stress_history_only(&config, StressEngine::SingleLock);
     let h = outcome.history;
     assert!(h.tx_count() >= 100_000, "expected a 10^5-tx recording, got {}", h.tx_count());
     let result = solve(&h, SolverMode::Si);
     assert!(
         result.outcome.is_member(),
-        "lock-free stress recording ({} txs, seed {seed:#x}) fell outside HistSI",
+        "single-lock stress recording ({} txs, seed {seed:#x}) fell outside HistSI",
         h.tx_count()
     );
 }
