@@ -19,7 +19,9 @@
 //!
 //! [`stress`] runs a configurable workload (threads × contention ×
 //! read/write mix) and reports the validated [`RunResult`] plus
-//! wall-clock throughput of the execution phase;
+//! wall-clock throughput of the execution phase; [`stress_traced`] does
+//! the same with a [`Telemetry`] handle attached, so the real threads
+//! emit the same per-step event stream as the deterministic engines;
 //! [`stress_history_only`] records the history alone for runs too large
 //! for ground-truth relations.
 
@@ -31,10 +33,10 @@ use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use si_model::{History, Obj, Op, Value};
+use si_telemetry::{AbortCause, Event, Snapshot, Telemetry};
 
-use crate::probe::{EngineProbe, ProbeEvent};
 use crate::recorder::{CommittedTx, Recorder, RunResult, RunStats, VisibleSet};
-use crate::store::MultiVersionStore;
+use crate::store::{MultiVersionStore, Version};
 
 /// Workload shape for [`stress`]: how many threads, how much work, how
 /// skewed the object accesses, how write-heavy the transactions.
@@ -56,7 +58,8 @@ pub struct StressConfig {
     /// Size of the hot set (objects `0..hot_objects`).
     pub hot_objects: usize,
     /// Probability a transaction is abandoned mid-flight (failure
-    /// injection; abandoned attempts do not count towards the quota).
+    /// injection; abandoned attempts do not count towards the quota, so
+    /// this must stay below 1).
     pub abort_ratio: f64,
     /// Workload RNG seed.
     pub seed: u64,
@@ -94,6 +97,24 @@ impl StressConfig {
             seed,
         }
     }
+
+    /// Blind-counter shape: every transaction increments one uniformly
+    /// chosen object, and one in ten is abandoned mid-flight. With few
+    /// objects, increments collide often, and every lost update would
+    /// show in the final sum.
+    pub fn counters(object_count: usize, threads: usize, txs_per_thread: usize, seed: u64) -> Self {
+        StressConfig {
+            object_count,
+            threads,
+            txs_per_thread,
+            ops_per_tx: 1,
+            write_ratio: 1.0,
+            hot_ratio: 0.0,
+            hot_objects: 0,
+            abort_ratio: 0.1,
+            seed,
+        }
+    }
 }
 
 /// Which store [`stress`] drives. There is one: the single-lock store.
@@ -128,7 +149,7 @@ struct SharedSi {
     /// release ordering after the installs it covers; `begin` reads it
     /// with acquire ordering.
     commit_counter: AtomicU64,
-    probe: EngineProbe,
+    telemetry: Telemetry,
 }
 
 /// A thread-owned in-flight transaction: no synchronisation needed until
@@ -141,18 +162,18 @@ struct InFlight {
 }
 
 impl SharedSi {
-    fn new(object_count: usize, probe: EngineProbe) -> Self {
+    fn new(object_count: usize, telemetry: Telemetry) -> Self {
         SharedSi {
             store: RwLock::new(MultiVersionStore::new(object_count)),
             commit_counter: AtomicU64::new(0),
-            probe,
+            telemetry,
         }
     }
 
     /// Takes a snapshot: a single atomic load, no lock.
     fn begin(&self, session: usize) -> InFlight {
         let snapshot = self.commit_counter.load(Ordering::Acquire);
-        self.probe.emit(|| ProbeEvent::SnapshotPrefix { session, upto: snapshot });
+        self.telemetry.emit(|| Event::TxBegin { session, snapshot: Snapshot::Prefix(snapshot) });
         InFlight { session, snapshot, writes: BTreeMap::new() }
     }
 
@@ -162,17 +183,17 @@ impl SharedSi {
         if let Some(&v) = tx.writes.get(&obj) {
             return v;
         }
-        let version = self.store.read().read_at(obj, tx.snapshot);
+        let Version { value, commit_seq: seq } = self.store.read().read_at(obj, tx.snapshot);
         let session = tx.session;
-        self.probe.emit(|| ProbeEvent::VersionObserved { session, obj, seq: version.commit_seq });
-        version.value
+        self.telemetry.emit(|| Event::VersionObserved { session, obj: obj.0, seq });
+        value
     }
 
     /// First-committer-wins validation and install, atomic under the
     /// exclusive store lock. Returns the commit sequence number, or the
     /// first conflicting object.
     fn commit(&self, tx: InFlight) -> Result<u64, Obj> {
-        let session = tx.session;
+        let InFlight { session, snapshot, writes } = tx;
         let mut store = self.store.write();
         // The unsynchronised-looking `load + 1 … store` is sound, and
         // deliberately NOT a `fetch_add`:
@@ -188,12 +209,19 @@ impl SharedSi {
         //   installed, so the lock-free `begin` above could take a
         //   snapshot that includes `seq` yet miss its writes entirely.
         let seq = self.commit_counter.load(Ordering::Relaxed) + 1;
-        store.commit_writes(session, tx.snapshot, &tx.writes, seq, &self.probe)?;
+        if let Err(obj) = store.commit_writes(session, snapshot, &writes, seq, &self.telemetry) {
+            self.telemetry.emit(|| Event::TxAbort {
+                session,
+                cause: AbortCause::WwConflict,
+                obj: Some(obj.0),
+            });
+            return Err(obj);
+        }
         // Publish only after every install, still under the write lock:
         // a lock-free `begin` that observes `seq` must find all of its
         // versions in place.
         self.commit_counter.store(seq, Ordering::Release);
-        self.probe.emit(|| ProbeEvent::Committed { session, seq });
+        self.telemetry.emit(|| Event::TxCommit { session, seq, ops: writes.len() });
         Ok(seq)
     }
 
@@ -201,7 +229,7 @@ impl SharedSi {
     /// drop.
     fn abort(&self, tx: InFlight) {
         let session = tx.session;
-        self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
+        self.telemetry.emit(|| Event::TxAbort { session, cause: AbortCause::Explicit, obj: None });
     }
 }
 
@@ -266,25 +294,30 @@ fn worker(shared: &SharedSi, recorder: &Mutex<Recorder>, cfg: &StressConfig, thr
 /// # Panics
 ///
 /// Panics if the config is degenerate (zero objects, threads, quota or
-/// steps) or a worker thread panics.
+/// steps), a ratio lies outside `[0, 1]`, `abort_ratio` is 1 (no
+/// transaction could ever commit), or a worker thread panics.
 pub fn stress(config: &StressConfig, engine: StressEngine) -> StressOutcome {
-    stress_probed(config, engine, EngineProbe::disabled())
+    stress_traced(config, engine, Telemetry::disabled())
 }
 
-/// [`stress`] with a probe attached: every snapshot, version
-/// observation, install, commit, and discarded attempt is reported to
-/// the sink. Events from different
-/// threads are linearised by the sink, not by a global protocol lock, so
-/// consume them with order-insensitive analyses (counting, per-session
-/// projections) — the deterministic sanitizer is the tool for
-/// order-sensitive auditing.
-pub fn stress_probed(
+/// [`stress`] with a telemetry handle attached: every thread emits the
+/// same per-step events as the deterministic engines (`TxBegin` with its
+/// snapshot, `VersionObserved`, `VersionInstalled`, and `TxCommit` or
+/// `TxAbort`). Events from different threads are linearised by the
+/// sink, not by a global protocol lock, so consume them with
+/// order-insensitive analyses (counting, per-session projections) — the
+/// deterministic sanitizer is the tool for order-sensitive auditing.
+///
+/// # Panics
+///
+/// As [`stress`].
+pub fn stress_traced(
     config: &StressConfig,
     engine: StressEngine,
-    probe: EngineProbe,
+    telemetry: Telemetry,
 ) -> StressOutcome {
     let initial_values = vec![Value::INITIAL; config.object_count];
-    let (recorder, elapsed) = run_stress(config, engine, probe);
+    let (recorder, elapsed) = run_stress(config, engine, telemetry);
     let result = recorder.finish(&initial_values, config.threads);
     let throughput_tps = throughput(result.stats.committed, elapsed);
     StressOutcome { result, elapsed, throughput_tps }
@@ -312,7 +345,7 @@ pub struct StressHistory {
 /// than trusting engine-reported relations anyway.
 pub fn stress_history_only(config: &StressConfig, engine: StressEngine) -> StressHistory {
     let initial_values = vec![Value::INITIAL; config.object_count];
-    let (recorder, elapsed) = run_stress(config, engine, EngineProbe::disabled());
+    let (recorder, elapsed) = run_stress(config, engine, Telemetry::disabled());
     let (history, stats, _metrics) = recorder.finish_history_only(&initial_values, config.threads);
     let throughput_tps = throughput(stats.committed, elapsed);
     StressHistory { history, stats, elapsed, throughput_tps }
@@ -327,21 +360,26 @@ fn throughput(committed: u64, elapsed: Duration) -> f64 {
     }
 }
 
-/// The execution phase shared by [`stress_probed`] and
+/// The execution phase shared by [`stress_traced`] and
 /// [`stress_history_only`]: spawn, drive, join — everything but the
 /// finishing step that turns the recorder into a result.
 fn run_stress(
     config: &StressConfig,
     engine: StressEngine,
-    probe: EngineProbe,
+    telemetry: Telemetry,
 ) -> (Recorder, Duration) {
     assert!(config.object_count > 0, "need at least one object");
     assert!(config.threads > 0, "need at least one thread");
     assert!(config.txs_per_thread > 0, "need a per-thread commit quota");
     assert!(config.ops_per_tx > 0, "transactions need at least one step");
+    assert!((0.0..=1.0).contains(&config.write_ratio), "write_ratio must lie in [0, 1]");
+    assert!((0.0..=1.0).contains(&config.hot_ratio), "hot_ratio must lie in [0, 1]");
+    // An abort ratio of 1 abandons every attempt, and abandoned attempts
+    // never count towards the quota: the workers would spin forever.
+    assert!((0.0..1.0).contains(&config.abort_ratio), "abort_ratio must lie in [0, 1)");
 
     let StressEngine::SingleLock = engine;
-    let shared = SharedSi::new(config.object_count, probe);
+    let shared = SharedSi::new(config.object_count, telemetry);
     let recorder = Mutex::new(Recorder::new());
     let start = Instant::now();
     crossbeam::scope(|scope| {
@@ -356,70 +394,25 @@ fn run_stress(
     (recorder.into_inner(), elapsed)
 }
 
-/// Runs `threads` OS threads against the single-lock store, each
-/// performing `txs_per_thread` read-modify-write transactions on random
-/// objects (each thread is one session). A fraction of transactions is
-/// deliberately abandoned mid-flight (failure injection); aborted commits
-/// are retried indefinitely.
-///
-/// Returns the recorded run, validated by the caller (tests assert the
-/// result is a legal SI execution). For configurable thread counts and
-/// contention, use [`stress`].
-///
-/// # Panics
-///
-/// Panics if `object_count` is zero or a thread panics.
-pub fn stress_si_engine(
-    object_count: usize,
-    threads: usize,
-    txs_per_thread: usize,
-    seed: u64,
-) -> RunResult {
-    stress_si_engine_probed(object_count, threads, txs_per_thread, seed, EngineProbe::disabled())
-}
-
-/// [`stress_si_engine`] with a probe attached; see [`stress_probed`] for
-/// the trace's ordering caveats.
-pub fn stress_si_engine_probed(
-    object_count: usize,
-    threads: usize,
-    txs_per_thread: usize,
-    seed: u64,
-    probe: EngineProbe,
-) -> RunResult {
-    let config = StressConfig {
-        object_count,
-        threads,
-        txs_per_thread,
-        ops_per_tx: 1,
-        write_ratio: 1.0,
-        hot_ratio: 0.0,
-        hot_objects: 0,
-        abort_ratio: 0.1,
-        seed,
-    };
-    stress_probed(&config, StressEngine::SingleLock, probe).result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::VecProbe;
     use si_execution::SpecModel;
+    use si_telemetry::{CountingSink, VecSink};
     use std::sync::Arc;
 
     #[test]
     fn concurrent_run_is_a_legal_si_execution() {
-        let result = stress_si_engine(4, 4, 25, 0xC0FFEE);
-        assert_eq!(result.stats.committed, 100);
-        assert!(SpecModel::Si.check(&result.execution).is_ok());
+        let result = stress(&StressConfig::counters(4, 4, 25, 0xC0FFEE), StressEngine::SingleLock);
+        assert_eq!(result.result.stats.committed, 100);
+        assert!(SpecModel::Si.check(&result.result.execution).is_ok());
     }
 
     #[test]
     fn counters_never_lose_updates() {
         // Every committed increment must be reflected: the sum of final
         // object values equals the number of committed transactions.
-        let result = stress_si_engine(2, 3, 20, 7);
+        let result = stress(&StressConfig::counters(2, 3, 20, 7), StressEngine::SingleLock).result;
         let history = &result.history;
         let n = history.tx_count();
         let mut finals = [Value::INITIAL; 2];
@@ -438,20 +431,20 @@ mod tests {
 
     #[test]
     fn probed_run_reports_every_commit() {
-        let sink = Arc::new(VecProbe::new());
-        let probe = EngineProbe::new(sink.clone());
-        let result = stress_si_engine_probed(2, 2, 10, 42, probe);
-        let events = sink.drain();
-        let commits =
-            events.iter().filter(|e| matches!(e, ProbeEvent::Committed { .. })).count() as u64;
-        assert_eq!(commits, result.stats.committed);
+        let sink = Arc::new(VecSink::new());
+        let config = StressConfig::counters(2, 2, 10, 42);
+        let outcome =
+            stress_traced(&config, StressEngine::SingleLock, Telemetry::new(sink.clone()));
+        let (stats, events) = (outcome.result.stats, sink.drain());
+        let commits = events.iter().filter(|e| matches!(e, Event::TxCommit { .. })).count() as u64;
+        assert_eq!(commits, stats.committed);
         // Installs are published before the commit counter: every
-        // Committed { seq } is preceded in the log by its installs.
+        // TxCommit { seq } is preceded in the log by its installs.
         for (i, e) in events.iter().enumerate() {
-            if let ProbeEvent::Committed { seq, .. } = e {
+            if let Event::TxCommit { seq, .. } = e {
                 let installed = events[..i]
                     .iter()
-                    .any(|p| matches!(p, ProbeEvent::VersionInstalled { seq: s, .. } if s == seq));
+                    .any(|p| matches!(p, Event::VersionInstalled { seq: s, .. } if s == seq));
                 assert!(installed, "commit {seq} published before its installs");
             }
         }
@@ -466,27 +459,68 @@ mod tests {
         // `fetch_add` moved before the installs), concurrent committers
         // would mint duplicate or gapped sequence numbers, or publish a
         // sequence number whose versions are not yet installed.
-        let sink = Arc::new(VecProbe::new());
-        let probe = EngineProbe::new(sink.clone());
-        let result = stress_si_engine_probed(4, 8, 50, 0x5EC5, probe);
-        let events = sink.drain();
+        let sink = Arc::new(VecSink::new());
+        let config = StressConfig::counters(4, 8, 50, 0x5EC5);
+        let outcome =
+            stress_traced(&config, StressEngine::SingleLock, Telemetry::new(sink.clone()));
+        let (stats, events) = (outcome.result.stats, sink.drain());
         let mut seqs: Vec<u64> = events
             .iter()
             .filter_map(|e| match e {
-                ProbeEvent::Committed { seq, .. } => Some(*seq),
+                Event::TxCommit { seq, .. } => Some(*seq),
                 _ => None,
             })
             .collect();
         seqs.sort_unstable();
-        let expected: Vec<u64> = (1..=result.stats.committed).collect();
+        let expected: Vec<u64> = (1..=stats.committed).collect();
         assert_eq!(seqs, expected, "commit sequence numbers must be exactly 1..=committed");
         // Every installed version belongs to a committed transaction —
         // no version was minted under a sequence number that never
         // published.
         for e in &events {
-            if let ProbeEvent::VersionInstalled { seq, .. } = e {
-                assert!(*seq >= 1 && *seq <= result.stats.committed, "orphaned install {seq}");
+            if let Event::VersionInstalled { seq, .. } = e {
+                assert!(*seq >= 1 && *seq <= stats.committed, "orphaned install {seq}");
             }
         }
+    }
+
+    #[test]
+    fn real_threads_emit_the_lifecycle_stream() {
+        // Every attempt begins once and ends exactly once: in a commit,
+        // a first-committer-wins refusal, or an injected abort.
+        let sink = Arc::new(CountingSink::new());
+        let config = StressConfig::high_contention(4, 50, 0x11FE);
+        let outcome =
+            stress_traced(&config, StressEngine::SingleLock, Telemetry::new(sink.clone()));
+        let stats = &outcome.result.stats;
+        assert_eq!(sink.commits(), stats.committed);
+        assert_eq!(sink.aborts(AbortCause::WwConflict), stats.aborted);
+        assert!(sink.aborts(AbortCause::Explicit) > 0, "injected aborts must surface");
+        assert_eq!(
+            sink.begins(),
+            sink.commits() + sink.conflict_aborts() + sink.aborts(AbortCause::Explicit)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "write_ratio must lie in [0, 1]")]
+    fn write_ratio_above_one_is_rejected() {
+        let config = StressConfig { write_ratio: 1.5, ..StressConfig::low_contention(1, 1, 0) };
+        stress(&config, StressEngine::SingleLock);
+    }
+
+    #[test]
+    #[should_panic(expected = "hot_ratio must lie in [0, 1]")]
+    fn negative_hot_ratio_is_rejected() {
+        let config = StressConfig { hot_ratio: -0.1, ..StressConfig::high_contention(1, 1, 0) };
+        stress(&config, StressEngine::SingleLock);
+    }
+
+    #[test]
+    #[should_panic(expected = "abort_ratio must lie in [0, 1)")]
+    fn abort_ratio_of_one_is_rejected() {
+        // Used to spin forever: every attempt aborted and none counted.
+        let config = StressConfig { abort_ratio: 1.0, ..StressConfig::low_contention(1, 1, 0) };
+        stress(&config, StressEngine::SingleLock);
     }
 }

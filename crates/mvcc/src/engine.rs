@@ -5,8 +5,6 @@ use core::fmt;
 use si_model::{Obj, Value};
 use si_telemetry::{AbortCause, Telemetry};
 
-use crate::probe::EngineProbe;
-
 /// Handle to an in-flight transaction. Obtained from [`Engine::begin`] and
 /// consumed by [`Engine::commit`] / [`Engine::abort`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,22 +122,14 @@ pub trait Engine {
     /// A short engine name for reports ("SI", "SER", "PSI").
     fn name(&self) -> &'static str;
 
-    /// Attaches a telemetry handle. Instrumented engines then emit
-    /// [`TxBegin`](si_telemetry::Event::TxBegin) /
-    /// [`TxCommit`](si_telemetry::Event::TxCommit) /
-    /// [`TxAbort`](si_telemetry::Event::TxAbort) events for every
-    /// transaction; the default implementation ignores the handle.
+    /// Attaches a telemetry handle. Instrumented engines then emit one
+    /// [`Event`](si_telemetry::Event) per step of every transaction:
+    /// `TxBegin` with the acquired snapshot, `VersionObserved` per
+    /// external read, `VersionInstalled` per install, and a closing
+    /// `TxCommit` or `TxAbort`. The default implementation ignores the
+    /// handle; the disabled default handle costs one branch per step.
     fn set_telemetry(&mut self, telemetry: Telemetry) {
         let _ = telemetry;
-    }
-
-    /// Attaches a shared-state access probe. Instrumented engines then
-    /// report snapshot acquisition, observed and installed versions, and
-    /// commit/discard fences through it (see [`crate::probe`]); the
-    /// default implementation ignores the handle, and the disabled
-    /// default probe costs one branch per access.
-    fn set_probe(&mut self, probe: EngineProbe) {
-        let _ = probe;
     }
 
     /// Performs one step of background work (e.g. replicating one commit

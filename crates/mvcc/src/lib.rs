@@ -27,6 +27,11 @@
 //! [`MultiVersionStore::commit_writes`] with [`SiEngine`], and validates
 //! each run post hoc.
 //!
+//! Every engine, and the stress store through [`stress_traced`], reports
+//! each step of the algorithm as one [`Event`] through one [`Telemetry`]
+//! handle ([`Engine::set_telemetry`]); the same stream feeds metrics,
+//! JSONL traces and the sanitizer's happens-before race detector.
+//!
 //! Every engine reports ground truth on commit: its commit sequence
 //! number and the set of transactions visible to its snapshot. The
 //! [`Recorder`] turns a finished run into a [`History`] and an
@@ -69,7 +74,6 @@
 
 mod concurrent;
 mod engine;
-pub mod probe;
 mod psi_engine;
 mod recorder;
 mod scheduler;
@@ -80,11 +84,10 @@ mod ssi_engine;
 mod store;
 
 pub use concurrent::{
-    stress, stress_history_only, stress_probed, stress_si_engine, stress_si_engine_probed,
-    StressConfig, StressEngine, StressHistory, StressOutcome,
+    stress, stress_history_only, stress_traced, StressConfig, StressEngine, StressHistory,
+    StressOutcome,
 };
 pub use engine::{AbortReason, CommitInfo, Engine, TxToken};
-pub use probe::{EngineProbe, ProbeEvent, ProbeSink, VecProbe};
 pub use psi_engine::PsiEngine;
 pub use recorder::{CommittedTx, Recorder, RunResult, RunStats, VisibleSet};
 pub use scheduler::{Scheduler, SchedulerConfig, Workload};
@@ -96,6 +99,6 @@ pub use store::{MultiVersionStore, Version};
 
 pub use si_model::{History, Obj, Value};
 pub use si_telemetry::{
-    AbortCause, CountingSink, Event, JsonlSink, MetricsRegistry, MetricsReport, NullSink,
-    Telemetry, TelemetrySink,
+    AbortCause, CountingSink, Event, JsonlSink, MetricsRegistry, MetricsReport, NullSink, Snapshot,
+    Telemetry, TelemetrySink, VecSink,
 };

@@ -4,11 +4,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use si_model::{Obj, Value};
-use si_telemetry::{AbortCause, Event, Telemetry};
+use si_telemetry::{AbortCause, Event, Snapshot, Telemetry};
 
 use crate::engine::{AbortReason, CommitInfo, Engine, TxToken};
-use crate::probe::{EngineProbe, ProbeEvent};
-use crate::store::MultiVersionStore;
+use crate::store::{MultiVersionStore, Version};
 
 #[derive(Debug)]
 struct ActiveTx {
@@ -48,7 +47,6 @@ pub struct PsiEngine {
     replicas: Vec<BTreeSet<u64>>,
     committed: Vec<CommittedMeta>,
     telemetry: Telemetry,
-    probe: EngineProbe,
 }
 
 impl PsiEngine {
@@ -67,7 +65,6 @@ impl PsiEngine {
             replicas: vec![BTreeSet::new(); replica_count],
             committed: Vec::new(),
             telemetry: Telemetry::disabled(),
-            probe: EngineProbe::disabled(),
         }
     }
 
@@ -114,10 +111,9 @@ impl Engine for PsiEngine {
 
     fn begin(&mut self, session: usize) -> TxToken {
         let replica = self.replica_of(session);
-        self.telemetry.emit(|| Event::TxBegin { session });
-        self.probe.emit(|| ProbeEvent::SnapshotSet {
+        self.telemetry.emit(|| Event::TxBegin {
             session,
-            visible: self.replicas[replica].iter().copied().collect(),
+            snapshot: Snapshot::Set(self.replicas[replica].iter().copied().collect()),
         });
         self.active.push(ActiveTx {
             session,
@@ -136,9 +132,10 @@ impl Engine for PsiEngine {
         }
         let session = t.session;
         let snapshot = &t.snapshot;
-        let version = self.store.read_visible(obj, |seq| snapshot.contains(&seq));
-        self.probe.emit(|| ProbeEvent::VersionObserved { session, obj, seq: version.commit_seq });
-        version.value
+        let Version { value, commit_seq: seq } =
+            self.store.read_visible(obj, |seq| snapshot.contains(&seq));
+        self.telemetry.emit(|| Event::VersionObserved { session, obj: obj.0, seq });
+        value
     }
 
     fn write(&mut self, tx: TxToken, obj: Obj, value: Value) {
@@ -161,7 +158,6 @@ impl Engine for PsiEngine {
                         cause: AbortCause::WwConflict,
                         obj: Some(obj.0),
                     });
-                    self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
                     return Err(AbortReason::WriteConflict(obj));
                 }
             }
@@ -170,7 +166,7 @@ impl Engine for PsiEngine {
         let seq = self.commit_counter;
         for (&obj, &value) in &writes {
             self.store.install(obj, value, seq);
-            self.probe.emit(|| ProbeEvent::VersionInstalled { session, obj, seq });
+            self.telemetry.emit(|| Event::VersionInstalled { session, obj: obj.0, seq });
         }
         let origin = self.replica_of(session);
         self.committed.push(CommittedMeta { visible: snapshot.clone(), origin });
@@ -179,7 +175,6 @@ impl Engine for PsiEngine {
         self.replicas[origin].insert(seq);
         self.active[tx.0].finished = true;
         self.telemetry.emit(|| Event::TxCommit { session, seq, ops: writes.len() });
-        self.probe.emit(|| ProbeEvent::Committed { session, seq });
         Ok(CommitInfo { seq, visible: snapshot.into_iter().collect() })
     }
 
@@ -188,7 +183,6 @@ impl Engine for PsiEngine {
         t.finished = true;
         let session = t.session;
         self.telemetry.emit(|| Event::TxAbort { session, cause: AbortCause::Explicit, obj: None });
-        self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
     }
 
     fn name(&self) -> &'static str {
@@ -197,10 +191,6 @@ impl Engine for PsiEngine {
 
     fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    fn set_probe(&mut self, probe: EngineProbe) {
-        self.probe = probe;
     }
 
     /// Whether any committed transaction still awaits replication to some

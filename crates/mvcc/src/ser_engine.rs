@@ -4,11 +4,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use si_model::{Obj, Value};
-use si_telemetry::{AbortCause, Event, Telemetry};
+use si_telemetry::{AbortCause, Event, Snapshot, Telemetry};
 
 use crate::engine::{AbortReason, CommitInfo, Engine, TxToken};
-use crate::probe::{EngineProbe, ProbeEvent};
-use crate::store::MultiVersionStore;
+use crate::store::{MultiVersionStore, Version};
 
 #[derive(Debug)]
 struct ActiveTx {
@@ -34,7 +33,6 @@ pub struct SerEngine {
     commit_counter: u64,
     active: Vec<ActiveTx>,
     telemetry: Telemetry,
-    probe: EngineProbe,
 }
 
 impl SerEngine {
@@ -45,7 +43,6 @@ impl SerEngine {
             commit_counter: 0,
             active: Vec::new(),
             telemetry: Telemetry::disabled(),
-            probe: EngineProbe::disabled(),
         }
     }
 
@@ -76,11 +73,11 @@ impl Engine for SerEngine {
     }
 
     fn begin(&mut self, session: usize) -> TxToken {
-        self.telemetry.emit(|| Event::TxBegin { session });
-        self.probe.emit(|| ProbeEvent::SnapshotPrefix { session, upto: self.commit_counter });
+        let snapshot = self.commit_counter;
+        self.telemetry.emit(|| Event::TxBegin { session, snapshot: Snapshot::Prefix(snapshot) });
         self.active.push(ActiveTx {
             session,
-            snapshot: self.commit_counter,
+            snapshot,
             reads: BTreeSet::new(),
             writes: BTreeMap::new(),
             finished: false,
@@ -97,9 +94,9 @@ impl Engine for SerEngine {
             t.reads.insert(obj);
             (t.session, t.snapshot)
         };
-        let version = self.store.read_at(obj, snapshot);
-        self.probe.emit(|| ProbeEvent::VersionObserved { session, obj, seq: version.commit_seq });
-        version.value
+        let Version { value, commit_seq: seq } = self.store.read_at(obj, snapshot);
+        self.telemetry.emit(|| Event::VersionObserved { session, obj: obj.0, seq });
+        value
     }
 
     fn write(&mut self, tx: TxToken, obj: Obj, value: Value) {
@@ -119,7 +116,6 @@ impl Engine for SerEngine {
                     cause: AbortCause::RwConflict,
                     obj: Some(obj.0),
                 });
-                self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
                 return Err(AbortReason::ReadConflict(obj));
             }
         }
@@ -131,7 +127,6 @@ impl Engine for SerEngine {
                     cause: AbortCause::WwConflict,
                     obj: Some(obj.0),
                 });
-                self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
                 return Err(AbortReason::WriteConflict(obj));
             }
         }
@@ -139,11 +134,10 @@ impl Engine for SerEngine {
         let seq = self.commit_counter;
         for (&obj, &value) in &writes {
             self.store.install(obj, value, seq);
-            self.probe.emit(|| ProbeEvent::VersionInstalled { session, obj, seq });
+            self.telemetry.emit(|| Event::VersionInstalled { session, obj: obj.0, seq });
         }
         self.active[tx.0].finished = true;
         self.telemetry.emit(|| Event::TxCommit { session, seq, ops: writes.len() });
-        self.probe.emit(|| ProbeEvent::Committed { session, seq });
         // With full validation, everything that committed before us is
         // indistinguishable from having been in our snapshot: report the
         // whole prefix so the recorded execution satisfies TOTALVIS.
@@ -155,7 +149,6 @@ impl Engine for SerEngine {
         t.finished = true;
         let session = t.session;
         self.telemetry.emit(|| Event::TxAbort { session, cause: AbortCause::Explicit, obj: None });
-        self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
     }
 
     fn name(&self) -> &'static str {
@@ -164,10 +157,6 @@ impl Engine for SerEngine {
 
     fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    fn set_probe(&mut self, probe: EngineProbe) {
-        self.probe = probe;
     }
 }
 

@@ -3,11 +3,10 @@
 use std::collections::BTreeMap;
 
 use si_model::{Obj, Value};
-use si_telemetry::{AbortCause, Event, Telemetry};
+use si_telemetry::{AbortCause, Event, Snapshot, Telemetry};
 
 use crate::engine::{AbortReason, CommitInfo, Engine, TxToken};
-use crate::probe::{EngineProbe, ProbeEvent};
-use crate::store::MultiVersionStore;
+use crate::store::{MultiVersionStore, Version};
 
 #[derive(Debug)]
 struct ActiveTx {
@@ -38,7 +37,6 @@ pub struct SiEngine {
     active: Vec<ActiveTx>,
     session_high_water: Vec<u64>,
     telemetry: Telemetry,
-    probe: EngineProbe,
 }
 
 impl SiEngine {
@@ -50,7 +48,6 @@ impl SiEngine {
             active: Vec::new(),
             session_high_water: Vec::new(),
             telemetry: Telemetry::disabled(),
-            probe: EngineProbe::disabled(),
         }
     }
 
@@ -89,8 +86,7 @@ impl Engine for SiEngine {
         // session previously committed. A monotone global counter makes
         // this automatic.
         debug_assert!(snapshot >= self.session_high_water[session]);
-        self.telemetry.emit(|| Event::TxBegin { session });
-        self.probe.emit(|| ProbeEvent::SnapshotPrefix { session, upto: snapshot });
+        self.telemetry.emit(|| Event::TxBegin { session, snapshot: Snapshot::Prefix(snapshot) });
         self.active.push(ActiveTx { session, snapshot, writes: BTreeMap::new(), finished: false });
         TxToken(self.active.len() - 1)
     }
@@ -103,9 +99,9 @@ impl Engine for SiEngine {
             }
             (t.session, t.snapshot)
         };
-        let version = self.store.read_at(obj, snapshot);
-        self.probe.emit(|| ProbeEvent::VersionObserved { session, obj, seq: version.commit_seq });
-        version.value
+        let Version { value, commit_seq: seq } = self.store.read_at(obj, snapshot);
+        self.telemetry.emit(|| Event::VersionObserved { session, obj: obj.0, seq });
+        value
     }
 
     fn write(&mut self, tx: TxToken, obj: Obj, value: Value) {
@@ -119,7 +115,8 @@ impl Engine for SiEngine {
             (t.session, t.snapshot, std::mem::take(&mut t.writes))
         };
         let seq = self.commit_counter + 1;
-        if let Err(obj) = self.store.commit_writes(session, snapshot, &writes, seq, &self.probe) {
+        if let Err(obj) = self.store.commit_writes(session, snapshot, &writes, seq, &self.telemetry)
+        {
             self.telemetry.emit(|| Event::TxAbort {
                 session,
                 cause: AbortCause::WwConflict,
@@ -129,7 +126,6 @@ impl Engine for SiEngine {
         }
         self.commit_counter = seq;
         self.telemetry.emit(|| Event::TxCommit { session, seq, ops: writes.len() });
-        self.probe.emit(|| ProbeEvent::Committed { session, seq });
         Ok(CommitInfo { seq, visible: (1..=snapshot).collect() })
     }
 
@@ -138,7 +134,6 @@ impl Engine for SiEngine {
         t.finished = true;
         let session = t.session;
         self.telemetry.emit(|| Event::TxAbort { session, cause: AbortCause::Explicit, obj: None });
-        self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
     }
 
     fn name(&self) -> &'static str {
@@ -147,10 +142,6 @@ impl Engine for SiEngine {
 
     fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    fn set_probe(&mut self, probe: EngineProbe) {
-        self.probe = probe;
     }
 }
 

@@ -15,11 +15,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use si_model::{Obj, Value};
-use si_telemetry::{AbortCause, Event, Telemetry};
+use si_telemetry::{AbortCause, Event, Snapshot, Telemetry};
 
 use crate::engine::{AbortReason, CommitInfo, Engine, TxToken};
-use crate::probe::{EngineProbe, ProbeEvent};
-use crate::store::MultiVersionStore;
+use crate::store::{MultiVersionStore, Version};
 
 #[derive(Debug)]
 struct ActiveTx {
@@ -64,7 +63,6 @@ pub struct SsiEngine {
     /// active ones.
     committed: Vec<CommittedInfo>,
     telemetry: Telemetry,
-    probe: EngineProbe,
 }
 
 impl SsiEngine {
@@ -76,7 +74,6 @@ impl SsiEngine {
             active: Vec::new(),
             committed: Vec::new(),
             telemetry: Telemetry::disabled(),
-            probe: EngineProbe::disabled(),
         }
     }
 
@@ -106,11 +103,11 @@ impl Engine for SsiEngine {
     }
 
     fn begin(&mut self, session: usize) -> TxToken {
-        self.telemetry.emit(|| Event::TxBegin { session });
-        self.probe.emit(|| ProbeEvent::SnapshotPrefix { session, upto: self.commit_counter });
+        let snapshot = self.commit_counter;
+        self.telemetry.emit(|| Event::TxBegin { session, snapshot: Snapshot::Prefix(snapshot) });
         self.active.push(ActiveTx {
             session,
-            snapshot: self.commit_counter,
+            snapshot,
             reads: BTreeSet::new(),
             writes: BTreeMap::new(),
             finished: false,
@@ -142,9 +139,9 @@ impl Engine for SsiEngine {
             // reader to be aborted at commit by also setting in-flag
             // pessimistically. (Classic SSI aborts on the reader side.)
         }
-        let version = self.store.read_at(obj, snapshot);
-        self.probe.emit(|| ProbeEvent::VersionObserved { session, obj, seq: version.commit_seq });
-        version.value
+        let Version { value, commit_seq: seq } = self.store.read_at(obj, snapshot);
+        self.telemetry.emit(|| Event::VersionObserved { session, obj: obj.0, seq });
+        value
     }
 
     fn write(&mut self, tx: TxToken, obj: Obj, value: Value) {
@@ -172,7 +169,6 @@ impl Engine for SsiEngine {
                     cause: AbortCause::WwConflict,
                     obj: Some(obj.0),
                 });
-                self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
                 return Err(AbortReason::WriteConflict(obj));
             }
         }
@@ -216,7 +212,6 @@ impl Engine for SsiEngine {
                     cause: AbortCause::RwConflict,
                     obj: Some(witness.0),
                 });
-                self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
                 return Err(AbortReason::ReadConflict(witness));
             }
         }
@@ -255,7 +250,6 @@ impl Engine for SsiEngine {
                 cause: AbortCause::RwConflict,
                 obj: Some(witness.0),
             });
-            self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
             return Err(AbortReason::ReadConflict(witness));
         }
 
@@ -264,7 +258,7 @@ impl Engine for SsiEngine {
         let seq = self.commit_counter;
         for (&obj, &value) in &self.active[token.0].writes.clone() {
             self.store.install(obj, value, seq);
-            self.probe.emit(|| ProbeEvent::VersionInstalled { session, obj, seq });
+            self.telemetry.emit(|| Event::VersionInstalled { session, obj: obj.0, seq });
         }
         for (ci, c_in, c_out) in committed_updates {
             self.committed[ci].in_conflict |= c_in;
@@ -278,7 +272,6 @@ impl Engine for SsiEngine {
         self.committed.push(CommittedInfo { seq, reads, writes, in_conflict, out_conflict });
         self.active[token.0].finished = true;
         self.telemetry.emit(|| Event::TxCommit { session, seq, ops: write_count });
-        self.probe.emit(|| ProbeEvent::Committed { session, seq });
         Ok(CommitInfo { seq, visible: (1..=snapshot).collect() })
     }
 
@@ -287,7 +280,6 @@ impl Engine for SsiEngine {
         t.finished = true;
         let session = t.session;
         self.telemetry.emit(|| Event::TxAbort { session, cause: AbortCause::Explicit, obj: None });
-        self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
     }
 
     fn name(&self) -> &'static str {
@@ -296,10 +288,6 @@ impl Engine for SsiEngine {
 
     fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    fn set_probe(&mut self, probe: EngineProbe) {
-        self.probe = probe;
     }
 }
 

@@ -3,8 +3,7 @@
 use std::collections::BTreeMap;
 
 use si_model::{Obj, Value};
-
-use crate::probe::{EngineProbe, ProbeEvent};
+use si_telemetry::{Event, Telemetry};
 
 /// A committed version of an object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,10 +141,12 @@ impl MultiVersionStore {
     /// deterministic [`SiEngine`](crate::SiEngine) and the real-thread
     /// stress store: first-committer-wins validation of `writes` against
     /// `snapshot`, then the install of every write at `seq`, in object
-    /// order. The caller owns sequence allocation and publication; this
-    /// routine only touches the version chains and reports
-    /// [`ProbeEvent::AttemptDiscarded`] on a conflict and
-    /// [`ProbeEvent::VersionInstalled`] per install.
+    /// order. The caller owns sequence allocation, publication and the
+    /// closing `TxCommit` / `TxAbort` event; this routine only touches
+    /// the version chains and reports [`Event::VersionInstalled`] per
+    /// install.
+    ///
+    /// # Errors
     ///
     /// Returns the first object with a committed version newer than
     /// `snapshot`, having installed nothing.
@@ -160,17 +161,16 @@ impl MultiVersionStore {
         snapshot: u64,
         writes: &BTreeMap<Obj, Value>,
         seq: u64,
-        probe: &EngineProbe,
+        telemetry: &Telemetry,
     ) -> Result<(), Obj> {
         for &obj in writes.keys() {
             if self.latest_seq(obj) > snapshot {
-                probe.emit(|| ProbeEvent::AttemptDiscarded { session });
                 return Err(obj);
             }
         }
         for (&obj, &value) in writes {
             self.install(obj, value, seq);
-            probe.emit(|| ProbeEvent::VersionInstalled { session, obj, seq });
+            telemetry.emit(|| Event::VersionInstalled { session, obj: obj.0, seq });
         }
         Ok(())
     }
@@ -255,14 +255,14 @@ mod tests {
     fn commit_writes_refuses_a_stale_snapshot_and_installs_nothing() {
         let mut s = MultiVersionStore::new(2);
         let (x, y) = (Obj(0), Obj(1));
-        let probe = EngineProbe::disabled();
+        let off = Telemetry::disabled();
         let first: BTreeMap<Obj, Value> = [(y, Value(1))].into();
-        assert_eq!(s.commit_writes(0, 0, &first, 1, &probe), Ok(()));
+        assert_eq!(s.commit_writes(0, 0, &first, 1, &off), Ok(()));
         // Snapshot 0 predates y's version 1: first committer wins.
         let both: BTreeMap<Obj, Value> = [(x, Value(2)), (y, Value(2))].into();
-        assert_eq!(s.commit_writes(1, 0, &both, 2, &probe), Err(y));
+        assert_eq!(s.commit_writes(1, 0, &both, 2, &off), Err(y));
         assert_eq!(s.latest_seq(x), 0, "a refused commit must install nothing");
-        assert_eq!(s.commit_writes(1, 1, &both, 2, &probe), Ok(()));
+        assert_eq!(s.commit_writes(1, 1, &both, 2, &off), Ok(()));
         assert_eq!(s.read_at(x, 2).value, Value(2));
         assert_eq!(s.read_at(y, 2).value, Value(2));
     }

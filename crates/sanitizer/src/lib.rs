@@ -15,7 +15,7 @@
 //! 3. the incremental [`SiMonitor`](si_core::SiMonitor), replaying the
 //!    history as an online observation stream;
 //! 4. a vector-clock happens-before race detector over the engine's
-//!    internal shared-state accesses (probe events).
+//!    internal shared-state accesses (telemetry events).
 //!
 //! Failures are shrunk with delta debugging to a minimal schedule and
 //! packaged as JSON [`ReplayScript`]s that reproduce byte-identically.

@@ -21,7 +21,7 @@
 //!   happens-before was skipped.
 //! * [`Mutation::TornPublish`] — the stress store's publication
 //!   invariant broken: a multi-write commit publishes its sequence (and
-//!   reports `Committed`) after installing only its *first* version; the
+//!   reports `TxCommit`) after installing only its *first* version; the
 //!   remaining installs trickle in as background steps. A snapshot taken
 //!   after the publish includes the sequence but can read a torn prefix
 //!   of its writes, so the EXT axiom fails — and every late install is
@@ -31,9 +31,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use si_model::{Obj, Value};
-use si_mvcc::{
-    AbortReason, CommitInfo, Engine, EngineProbe, MultiVersionStore, ProbeEvent, TxToken,
-};
+use si_mvcc::{AbortReason, CommitInfo, Engine, MultiVersionStore, TxToken, Version};
+use si_telemetry::{AbortCause, Event, Snapshot, Telemetry};
 
 /// Which defect a [`MutantSiEngine`] carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +67,7 @@ pub struct MutantSiEngine {
     store: MultiVersionStore,
     commit_counter: u64,
     active: Vec<MutantTx>,
-    probe: EngineProbe,
+    telemetry: Telemetry,
     mutation: Mutation,
     /// Torn-publish backlog: versions whose sequence is already
     /// committed but which have not been installed yet. Each entry is
@@ -83,7 +82,7 @@ impl MutantSiEngine {
             store: MultiVersionStore::new(object_count),
             commit_counter: 0,
             active: Vec::new(),
-            probe: EngineProbe::disabled(),
+            telemetry: Telemetry::disabled(),
             mutation,
             deferred: VecDeque::new(),
         }
@@ -119,7 +118,7 @@ impl Engine for MutantSiEngine {
             Mutation::SnapshotLag { lag } => self.commit_counter.saturating_sub(lag),
             _ => self.commit_counter,
         };
-        self.probe.emit(|| ProbeEvent::SnapshotPrefix { session, upto: snapshot });
+        self.telemetry.emit(|| Event::TxBegin { session, snapshot: Snapshot::Prefix(snapshot) });
         self.active.push(MutantTx { session, snapshot, writes: BTreeMap::new(), finished: false });
         TxToken::from_raw(self.active.len() - 1)
     }
@@ -132,9 +131,9 @@ impl Engine for MutantSiEngine {
             }
             (t.session, t.snapshot)
         };
-        let version = self.store.read_at(obj, snapshot);
-        self.probe.emit(|| ProbeEvent::VersionObserved { session, obj, seq: version.commit_seq });
-        version.value
+        let Version { value, commit_seq: seq } = self.store.read_at(obj, snapshot);
+        self.telemetry.emit(|| Event::VersionObserved { session, obj: obj.0, seq });
+        value
     }
 
     fn write(&mut self, tx: TxToken, obj: Obj, value: Value) {
@@ -150,7 +149,11 @@ impl Engine for MutantSiEngine {
         for &obj in writes.keys() {
             if validated && self.store.latest_seq(obj) > snapshot {
                 self.active[tx.raw()].finished = true;
-                self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
+                self.telemetry.emit(|| Event::TxAbort {
+                    session,
+                    cause: AbortCause::WwConflict,
+                    obj: Some(obj.0),
+                });
                 return Err(AbortReason::WriteConflict(obj));
             }
         }
@@ -166,13 +169,13 @@ impl Engine for MutantSiEngine {
         for (i, (&obj, &value)) in writes.iter().enumerate() {
             if i < eager {
                 self.store.install(obj, value, seq);
-                self.probe.emit(|| ProbeEvent::VersionInstalled { session, obj, seq });
+                self.telemetry.emit(|| Event::VersionInstalled { session, obj: obj.0, seq });
             } else {
                 self.deferred.push_back((session, obj, value, seq));
             }
         }
         self.active[tx.raw()].finished = true;
-        self.probe.emit(|| ProbeEvent::Committed { session, seq });
+        self.telemetry.emit(|| Event::TxCommit { session, seq, ops: writes.len() });
         Ok(CommitInfo { seq, visible: (1..=snapshot).collect() })
     }
 
@@ -180,7 +183,7 @@ impl Engine for MutantSiEngine {
         let t = self.tx(tx);
         t.finished = true;
         let session = t.session;
-        self.probe.emit(|| ProbeEvent::AttemptDiscarded { session });
+        self.telemetry.emit(|| Event::TxAbort { session, cause: AbortCause::Explicit, obj: None });
     }
 
     fn name(&self) -> &'static str {
@@ -191,8 +194,8 @@ impl Engine for MutantSiEngine {
         }
     }
 
-    fn set_probe(&mut self, probe: EngineProbe) {
-        self.probe = probe;
+    fn set_telemetry(&mut self, telemetry: Telemetry) {
+        self.telemetry = telemetry;
     }
 
     fn background_pending(&self) -> bool {
@@ -206,7 +209,7 @@ impl Engine for MutantSiEngine {
         // The sequence is long committed; this install lands *below*
         // newer versions if anyone committed in the meantime.
         self.store.install_unordered(obj, value, seq);
-        self.probe.emit(|| ProbeEvent::VersionInstalled { session, obj, seq });
+        self.telemetry.emit(|| Event::VersionInstalled { session, obj: obj.0, seq });
         true
     }
 }

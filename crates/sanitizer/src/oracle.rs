@@ -13,7 +13,7 @@
 //! 3. **Online monitor** — the committed history is replayed through
 //!    [`SiMonitor`] as an *observation* stream (no ground-truth VIS), the
 //!    incremental counterpart of the graph check.
-//! 4. **Races** — the engine's probe trace is run through the
+//! 4. **Races** — the engine's telemetry trace is run through the
 //!    vector-clock detector ([`crate::detect_races`]).
 //!
 //! On the unmutated engines all four must accept every interleaving

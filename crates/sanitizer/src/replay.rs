@@ -5,7 +5,7 @@
 //! decision trace — is captured as one serde value that round-trips
 //! through JSON. Replaying is deterministic down to the byte: the runner
 //! is a pure function of `(engine, workload, decisions)`, so a script
-//! filed in a bug report reproduces the identical history, probe trace
+//! filed in a bug report reproduces the identical history, telemetry trace
 //! and oracle verdicts on any machine.
 
 use serde::{Deserialize, Serialize};

@@ -8,7 +8,7 @@
 //! with enough of a summary ([`StepSummary`]) for the explorer's
 //! independence relation, and recording the run exactly like the random
 //! [`Scheduler`](si_mvcc::Scheduler) does — through a
-//! [`Recorder`](si_mvcc::Recorder) plus the engine's probe-event trace.
+//! [`Recorder`](si_mvcc::Recorder) plus the engine's telemetry trace.
 //!
 //! # Yield points
 //!
@@ -36,9 +36,9 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use si_model::{Obj, Op, Value};
 use si_mvcc::{
-    CommittedTx, Engine, EngineProbe, ProbeEvent, Recorder, RunResult, Script, ScriptOp, TxToken,
-    VecProbe, VisibleSet, Workload,
+    CommittedTx, Engine, Recorder, RunResult, Script, ScriptOp, TxToken, VisibleSet, Workload,
 };
+use si_telemetry::{Event, Telemetry, VecSink};
 
 use crate::spec::EngineSpec;
 
@@ -118,8 +118,9 @@ pub struct RunCounters {
 pub struct RunArtifacts {
     /// The recorded history and ground-truth execution.
     pub result: RunResult,
-    /// The engine's internal shared-state access trace.
-    pub events: Vec<ProbeEvent>,
+    /// The engine's telemetry trace: every snapshot, observed and
+    /// installed version, commit and abort, in execution order.
+    pub events: Vec<Event>,
     /// Aggregate counters.
     pub counters: RunCounters,
     /// The decisions actually taken, in order.
@@ -130,7 +131,7 @@ pub struct RunArtifacts {
 /// control.
 pub struct Runner {
     engine: Box<dyn Engine>,
-    probe: Arc<VecProbe>,
+    trace: Arc<VecSink>,
     sessions: Vec<SessionState>,
     recorder: Recorder,
     counters: RunCounters,
@@ -158,8 +159,8 @@ impl Runner {
     /// universe.
     pub fn new(spec: &EngineSpec, workload: &Workload, max_retries: u32) -> Self {
         let mut engine = spec.build(workload.object_count());
-        let probe = Arc::new(VecProbe::new());
-        engine.set_probe(EngineProbe::new(probe.clone()));
+        let trace = Arc::new(VecSink::new());
+        engine.set_telemetry(Telemetry::new(trace.clone()));
         for &(obj, v) in workload.initial_values() {
             engine.set_initial(obj, Value(v));
         }
@@ -176,7 +177,7 @@ impl Runner {
             .collect();
         Runner {
             engine,
-            probe,
+            trace,
             sessions,
             recorder: Recorder::new(),
             counters: RunCounters::default(),
@@ -389,7 +390,7 @@ impl Runner {
         let result = self.recorder.finish(&self.initial_values, session_count);
         RunArtifacts {
             result,
-            events: self.probe.drain(),
+            events: self.trace.drain(),
             counters: self.counters,
             decisions: self.decisions,
         }

@@ -9,7 +9,7 @@
 //!   not a sample.
 //! * **Replay fidelity** — serialising any schedule as a
 //!   [`ReplayScript`], round-tripping it through JSON and replaying
-//!   yields a byte-identical history and probe trace.
+//!   yields a byte-identical history and telemetry trace.
 
 use proptest::prelude::*;
 use si_model::Obj;
@@ -94,7 +94,7 @@ proptest! {
 
     /// Any schedule of any generated workload, captured as a
     /// `ReplayScript` and round-tripped through JSON, replays to a
-    /// byte-identical history, probe trace and decision list.
+    /// byte-identical history, telemetry trace and decision list.
     #[test]
     fn serialized_replay_scripts_reproduce_byte_identically(case in arb_workload()) {
         let (txs, seed) = &case;

@@ -1,5 +1,5 @@
 //! The typed event model shared by engines, the scheduler, the online
-//! monitor and the offline checkers.
+//! monitor, the offline checkers and the sanitizer.
 
 use core::fmt;
 
@@ -55,16 +55,53 @@ impl fmt::Display for AbortCause {
     }
 }
 
+/// The commits a transaction's snapshot includes, acquired at begin.
+/// Sequence numbers are engine commit sequence numbers; 0, the initial
+/// versions, is always included.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+pub enum Snapshot {
+    /// All commits `1..=upto` (the SI, SER and SSI engines).
+    Prefix(u64),
+    /// An explicit, not necessarily prefix set of commits (the PSI
+    /// engine's causally closed replica state).
+    Set(Vec<u64>),
+}
+
 /// One structured telemetry event. Serialized as one JSON object per
 /// line by [`JsonlSink`](crate::JsonlSink).
+///
+/// The first five variants are the engines' steps of the paper's §1
+/// algorithm: snapshot at begin, snapshot read, install, and the commit
+/// or abort that makes the attempt's accesses permanent or discards them.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Event {
-    /// A transaction started.
+    /// A transaction started and acquired its snapshot.
     TxBegin {
         /// Client session index.
         session: usize,
+        /// The commits visible to the transaction.
+        snapshot: Snapshot,
     },
-    /// A transaction committed.
+    /// An external (non-own-write) read returned the version of `obj`
+    /// installed at `seq`.
+    VersionObserved {
+        /// Client session index.
+        session: usize,
+        /// The object's index.
+        obj: u32,
+        /// Commit sequence of the observed version (0 = initial).
+        seq: u64,
+    },
+    /// A commit installed a new version of `obj` at `seq`.
+    VersionInstalled {
+        /// Client session index.
+        session: usize,
+        /// The object's index.
+        obj: u32,
+        /// Commit sequence of the installed version.
+        seq: u64,
+    },
+    /// A transaction committed; its sequence number is published.
     TxCommit {
         /// Client session index.
         session: usize,
@@ -172,6 +209,14 @@ mod tests {
         let json = serde_json::to_string(&e).unwrap();
         assert!(json.contains("\"EdgeAdded\""), "{json}");
         assert!(json.contains("\"Rw\""), "{json}");
+
+        let e = Event::TxBegin { session: 2, snapshot: Snapshot::Set(vec![1, 3]) };
+        let json = serde_json::to_string(&e).unwrap();
+        assert_eq!(json, r#"{"TxBegin":{"session":2,"snapshot":{"Set":[1,3]}}}"#);
+
+        let e = Event::VersionInstalled { session: 1, obj: 4, seq: 2 };
+        let json = serde_json::to_string(&e).unwrap();
+        assert_eq!(json, r#"{"VersionInstalled":{"session":1,"obj":4,"seq":2}}"#);
     }
 
     #[test]

@@ -5,13 +5,15 @@
 //!
 //! The crate has three small layers:
 //!
-//! * **Events** ([`Event`], [`AbortCause`], [`EdgeKind`]) — a typed model
-//!   of what the MVCC engines, scheduler, online monitor and offline
-//!   checkers do: transaction lifecycle with abort causes, dependency
-//!   edges as they are discovered, acyclicity-check sizes, verdicts with
-//!   timings and solver progress.
+//! * **Events** ([`Event`], [`Snapshot`], [`AbortCause`], [`EdgeKind`]) —
+//!   one typed model of what the MVCC engines, scheduler, online monitor,
+//!   offline checkers and sanitizer do: the engines' per-step trace
+//!   (snapshot acquired at begin, version observed, version installed,
+//!   commit, abort with its cause), dependency edges as they are
+//!   discovered, acyclicity-check sizes, verdicts with timings and
+//!   solver and explorer progress.
 //! * **Sinks** ([`TelemetrySink`] implementations: [`NullSink`],
-//!   [`CountingSink`], [`JsonlSink`], [`FanoutSink`]) behind the
+//!   [`CountingSink`], [`VecSink`], [`JsonlSink`], [`FanoutSink`]) behind the
 //!   [`Telemetry`] handle. A disabled handle (`Telemetry::disabled()`,
 //!   the default everywhere) never even constructs the event — the cost
 //!   of instrumentation left off is a single branch.
@@ -21,11 +23,11 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use si_telemetry::{CountingSink, Event, Telemetry};
+//! use si_telemetry::{CountingSink, Event, Snapshot, Telemetry};
 //!
 //! let sink = Arc::new(CountingSink::new());
 //! let telemetry = Telemetry::new(sink.clone());
-//! telemetry.emit(|| Event::TxBegin { session: 0 });
+//! telemetry.emit(|| Event::TxBegin { session: 0, snapshot: Snapshot::Prefix(0) });
 //! assert_eq!(sink.begins(), 1);
 //! ```
 
@@ -38,11 +40,11 @@ mod metrics;
 mod sink;
 mod span;
 
-pub use event::{AbortCause, EdgeKind, Event};
+pub use event::{AbortCause, EdgeKind, Event, Snapshot};
 pub use metrics::{
     Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsReport, LATENCY_BOUNDS_NANOS,
 };
 pub use sink::{
-    CountingSink, FanoutSink, JsonlSink, NullSink, SharedBuffer, Telemetry, TelemetrySink,
+    CountingSink, FanoutSink, JsonlSink, NullSink, SharedBuffer, Telemetry, TelemetrySink, VecSink,
 };
 pub use span::{time, SpanTimer};

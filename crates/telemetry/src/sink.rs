@@ -192,8 +192,36 @@ impl TelemetrySink for CountingSink {
             Event::SolverIteration { .. } => &self.solver_iterations,
             Event::CdclProgress { .. } => &self.cdcl_progress,
             Event::ExplorationProgress { .. } => &self.exploration_progress,
+            Event::VersionObserved { .. } | Event::VersionInstalled { .. } => return,
         }
         .fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// Records every event in arrival order, for analyses that replay a
+/// whole trace afterwards (the sanitizer's race detector). The interior
+/// mutex makes one sink shareable across threads; the lock order then
+/// linearises the trace.
+#[derive(Debug, Default)]
+pub struct VecSink {
+    events: Mutex<Vec<Event>>,
+}
+
+impl VecSink {
+    /// An empty recording sink.
+    pub fn new() -> Self {
+        VecSink::default()
+    }
+
+    /// Removes and returns everything recorded so far.
+    pub fn drain(&self) -> Vec<Event> {
+        std::mem::take(&mut self.events.lock())
+    }
+}
+
+impl TelemetrySink for VecSink {
+    fn record(&self, event: &Event) {
+        self.events.lock().push(event.clone());
     }
 }
 
@@ -316,6 +344,7 @@ impl TelemetrySink for FanoutSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Snapshot;
 
     #[test]
     fn disabled_never_constructs_events() {
@@ -323,7 +352,7 @@ mod tests {
         let mut constructed = false;
         t.emit(|| {
             constructed = true;
-            Event::TxBegin { session: 0 }
+            Event::TxBegin { session: 0, snapshot: Snapshot::Prefix(0) }
         });
         assert!(!constructed);
         assert!(!t.is_enabled());
@@ -333,7 +362,9 @@ mod tests {
     fn counting_sink_tallies_by_kind() {
         let sink = Arc::new(CountingSink::new());
         let t = Telemetry::new(sink.clone());
-        t.emit(|| Event::TxBegin { session: 0 });
+        t.emit(|| Event::TxBegin { session: 0, snapshot: Snapshot::Prefix(0) });
+        t.emit(|| Event::VersionObserved { session: 0, obj: 0, seq: 0 });
+        t.emit(|| Event::VersionInstalled { session: 0, obj: 0, seq: 1 });
         t.emit(|| Event::TxCommit { session: 0, seq: 1, ops: 2 });
         t.emit(|| Event::TxAbort { session: 1, cause: AbortCause::WwConflict, obj: Some(0) });
         t.emit(|| Event::TxAbort { session: 1, cause: AbortCause::RwConflict, obj: None });
@@ -353,7 +384,7 @@ mod tests {
     fn jsonl_sink_writes_one_line_per_event() {
         let (sink, buffer) = JsonlSink::in_memory();
         let t = Telemetry::new(Arc::new(sink));
-        t.emit(|| Event::TxBegin { session: 3 });
+        t.emit(|| Event::TxBegin { session: 3, snapshot: Snapshot::Set(vec![]) });
         t.emit(|| Event::TxCommit { session: 3, seq: 1, ops: 1 });
         let lines = buffer.lines();
         assert_eq!(lines.len(), 2);
@@ -366,7 +397,7 @@ mod tests {
         let a = Arc::new(CountingSink::new());
         let b = Arc::new(CountingSink::new());
         let t = Telemetry::new(Arc::new(FanoutSink::new(vec![a.clone(), b.clone()])));
-        t.emit(|| Event::TxBegin { session: 0 });
+        t.emit(|| Event::TxBegin { session: 0, snapshot: Snapshot::Prefix(0) });
         assert_eq!(a.begins(), 1);
         assert_eq!(b.begins(), 1);
     }

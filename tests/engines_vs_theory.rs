@@ -8,8 +8,8 @@ use analysing_si::analysis::{check_psi, check_ser, check_si, classify_graph};
 use analysing_si::depgraph::extract;
 use analysing_si::execution::SpecModel;
 use analysing_si::mvcc::{
-    stress, stress_si_engine, Engine, PsiEngine, Scheduler, SchedulerConfig, SerEngine, SiEngine,
-    SsiEngine, StressConfig, StressEngine,
+    stress, Engine, PsiEngine, Scheduler, SchedulerConfig, SerEngine, SiEngine, SsiEngine,
+    StressConfig, StressEngine,
 };
 use analysing_si::workloads::random::{random_mix, RandomMix};
 use analysing_si::workloads::{bank, counter, fork};
@@ -166,7 +166,8 @@ fn si_engine_never_loses_updates_or_forks() {
 #[test]
 fn concurrent_stress_is_validated_end_to_end() {
     for seed in [1, 2, 3] {
-        let result = stress_si_engine(3, 4, 30, seed);
+        let result =
+            stress(&StressConfig::counters(3, 4, 30, seed), StressEngine::SingleLock).result;
         assert!(SpecModel::Si.check(&result.execution).is_ok());
         let g = extract(&result.execution).unwrap();
         assert!(check_si(&g).is_ok());

@@ -96,7 +96,9 @@ fn explicit_aborts_surface_under_crashes() {
 #[test]
 fn disabled_telemetry_is_observationally_neutral() {
     // Instrumentation must never influence behaviour: the same seed
-    // must produce bit-identical runs with and without a sink attached.
+    // must produce bit-identical runs with and without a sink attached,
+    // although the attached sink receives every lifecycle and access
+    // event.
     let accounts = smallbank::Accounts::new(2);
     let workloads = [smallbank::mixed_workload(&accounts, 3, 2, 100), bank::write_skew(2, 100)];
     for w in &workloads {
@@ -136,6 +138,8 @@ fn jsonl_trace_is_well_formed() {
     let text = buffer.contents();
     let known = [
         "TxBegin",
+        "VersionObserved",
+        "VersionInstalled",
         "TxCommit",
         "TxAbort",
         "EdgeAdded",
@@ -144,6 +148,8 @@ fn jsonl_trace_is_well_formed() {
         "SolverIteration",
     ];
     let mut commits = 0;
+    let mut committed_ops = 0;
+    let mut installs = 0;
     let mut lines = 0;
     for line in text.lines() {
         lines += 1;
@@ -157,12 +163,24 @@ fn jsonl_trace_is_well_formed() {
             }
             other => panic!("expected an object, got {other:?}"),
         }
-        if value.get("TxCommit").is_some() {
+        if let Some(commit) = value.get("TxCommit") {
             commits += 1;
+            match commit.get("ops") {
+                Some(Content::U64(ops)) => committed_ops += ops,
+                other => panic!("TxCommit without an op count: {other:?}"),
+            }
+        }
+        if value.get("VersionInstalled").is_some() {
+            installs += 1;
         }
     }
     assert!(lines > 0, "trace must not be empty");
     assert_eq!(commits, run.stats.committed);
+    // Each committed op is installed exactly once, and aborted attempts
+    // install nothing: the access half of the stream matches the
+    // lifecycle half.
+    assert!(installs > 0);
+    assert_eq!(installs, committed_ops);
 }
 
 /// Replays a finished run's dependency graph into a monitor in commit
